@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=None, help="override replication count")
     sim.add_argument("--seed", type=int, default=None, help="override the random seed")
     sim.add_argument("--p-grid", default=None, help="comma-separated dimensions, e.g. 20,40,60")
-    sim.add_argument("--threads", type=int, default=1, help="worker threads for replications")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker threads for replications (at least 1; capped at the usable CPUs)")
     sim.add_argument("--out", default=None, help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
 

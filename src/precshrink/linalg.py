@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra kernels.
 
 Sample covariance, symmetric eigendecomposition, inverse / Moore-Penrose
-pseudo-inverse via the spectral route, and the three matrix norms used by the
-estimators (squared Frobenius, trace norm, spectral norm).
+pseudo-inverse via the spectral route, the three matrix norms used by the
+estimators (squared Frobenius, trace norm, spectral norm), and the switch to
+single-threaded BLAS that replication work runs under.
 """
 
 from __future__ import annotations
@@ -18,6 +19,62 @@ REGIME_INVERTIBLE = "invertible"
 REGIME_PSEUDO = "pseudo"
 
 SYMMETRY_TOL = 1e-12
+
+
+# Thread-count setters of the OpenBLAS builds that the numpy (ILP64, "64_"
+# suffix) and scipy wheels bundle, newest naming first.
+_OPENBLAS_SET_NUM_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _bundled_openblas() -> list:
+    """The OpenBLAS libraries in the ``numpy.libs`` and ``scipy.libs`` folders
+    of the installed wheels, loaded through ``ctypes``; empty when the wheels
+    bundle another BLAS (MKL, Accelerate) or none."""
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+
+    libraries = []
+    for package in (np, scipy):
+        libs_dir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                                f"{package.__name__}.libs")
+        for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*"))):
+            libraries.append(ctypes.CDLL(path))
+    return libraries
+
+
+def use_single_threaded_blas() -> None:
+    """Set every bundled OpenBLAS build to one thread, for the rest of the process.
+
+    Monte Carlo replications run many small (p <= a few hundred) dense
+    products, eigendecompositions and solves, often from several worker
+    threads at once; OpenBLAS threads nested inside them mostly spin and
+    wait. One BLAS thread makes them several times faster and makes their
+    results independent of the machine's core count and of
+    ``OPENBLAS_NUM_THREADS``.
+
+    The setting is never restored: every later BLAS call in the process, from
+    any caller, runs on one thread. Restoring it after each grid point would
+    make OpenBLAS wake and spin its threads again. Does nothing when no
+    OpenBLAS build is found.
+    """
+    import ctypes
+
+    for library in _bundled_openblas():
+        for symbol in _OPENBLAS_SET_NUM_THREADS:
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
 
 
 def frobenius_sq(a: np.ndarray) -> float:

@@ -9,6 +9,7 @@ for any thread count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +32,13 @@ from .estimators import (
     oracle_olse_gt1,
     oracle_olse_lt1,
 )
-from .linalg import REGIME_INVERTIBLE, DataMatrix, SampleStats, sample_covariance
+from .linalg import (
+    REGIME_INVERTIBLE,
+    DataMatrix,
+    SampleStats,
+    sample_covariance,
+    use_single_threaded_blas,
+)
 from .metrics import PrialReport, frobenius_loss, summarize_replications
 from .spectral import CovarianceModel, SpectrumSpec, build_covariance
 
@@ -289,10 +296,27 @@ def _evaluate(
     return loss, (estimate.weights.alpha, estimate.weights.beta)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid_point(
     config: ExperimentConfig, p: int, threads: int = 1
 ) -> tuple[PrialReport, list[ReplicationResult]]:
-    """Run all replications for one dimension p and aggregate them."""
+    """Run all replications for one dimension p and aggregate them.
+
+    Replications run on ``min(threads, usable_cpus(), replications)`` worker
+    threads. The call first sets BLAS to one thread for the rest of the
+    process (see :func:`~precshrink.linalg.use_single_threaded_blas`), so the
+    results do not depend on the BLAS thread setting or the core count.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    use_single_threaded_blas()
     n = grid_sample_size(p, config.ratio)
     truth = build_covariance(config.spectrum, p)
     plan, skipped, baseline_id, order = _plan_estimators(config, p, n, truth)
@@ -311,8 +335,9 @@ def run_grid_point(
         return ReplicationResult(index=r, losses=losses, weights=weights)
 
     indices = range(config.replications)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, usable_cpus(), config.replications)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_replication, indices))
     else:
         results = [one_replication(r) for r in indices]

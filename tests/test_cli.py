@@ -1,6 +1,10 @@
 """CLI subcommands, config files, result CSVs, exit codes."""
 
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 
 from precshrink import CovarianceModel, generate_data, replication_rng, DistributionSpec
 from precshrink.cli import main
@@ -139,6 +143,26 @@ estimators: [sample_pinv, olse_precision]
         skipped = [r for r in rows if r.status.startswith("skipped")]
         assert len(skipped) == 1
         assert skipped[0].estimator_id == "olse_precision[identity_over_p]"
+
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["simulate", "fig1", "--reps", "2", "--p-grid", "12", "--seed", "7",
+                     "--threads", "0", "--out", str(out)]) == 2
+        assert "threads must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, p", [("fig5", "100"), ("fig1", "180")])
+    def test_output_independent_of_blas_threads(self, tmp_path, child_env, experiment, p):
+        outputs = []
+        for setting in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
+            out = tmp_path / f"{experiment}_{len(outputs)}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "precshrink", "simulate", experiment, "--reps", "4",
+                 "--p-grid", p, "--seed", "5", "--out", str(out)],
+                env=child_env(**setting), capture_output=True, timeout=120, check=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestEstimate:

@@ -1,10 +1,16 @@
-"""Sample covariance, eigendecomposition, pseudo-inverse and norms."""
+"""Sample covariance, eigendecomposition, pseudo-inverse, norms and the BLAS pin."""
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from precshrink import DataMatrix, SingularMatrixError, matrix_norms, pseudo_inverse, sample_covariance
 from precshrink.linalg import REGIME_INVERTIBLE, REGIME_PSEUDO, rank_tolerance
+from precshrink.simulation import usable_cpus
 
 
 def diag_sample(values, n):
@@ -175,3 +181,65 @@ class TestMatrixNorms:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             matrix_norms(np.zeros((2, 3)))
+
+
+PIN_PROBE = r"""
+import ctypes, glob, json, os, sys
+
+import numpy as np
+import scipy
+
+from precshrink import cli, linalg, simulation
+
+def thread_counts():
+    counts = []
+    for package in (np, scipy):
+        libs_dir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                                package.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*"))):
+            library = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                           "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                getter = getattr(library, symbol, None)
+                if getter is not None:
+                    getter.argtypes = []
+                    getter.restype = ctypes.c_int
+                    counts.append(getter())
+                    break
+    return counts
+
+stages = {"start": thread_counts()}
+lookup = linalg._bundled_openblas
+linalg._bundled_openblas = lambda: []
+linalg.use_single_threaded_blas()
+linalg._bundled_openblas = lookup
+stages["no_library"] = thread_counts()
+data = np.random.default_rng(0).standard_normal((30, 90))
+linalg.sample_covariance(data)
+np.savetxt(sys.argv[1], data, delimiter=",")
+assert cli.main(["estimate", sys.argv[1], "--out", sys.argv[2]]) == 0
+stages["estimate"] = thread_counts()
+config = simulation.builtin_experiments()["fig1"]
+simulation.run_grid_point(simulation.with_overrides(config, replications=2), 12)
+stages["grid_point"] = thread_counts()
+print(json.dumps(stages))
+"""
+
+
+class TestSingleThreadedBlas:
+    @pytest.mark.skipif(usable_cpus() < 2, reason="OpenBLAS runs one thread on one CPU")
+    def test_pinned_by_grid_point_only(self, tmp_path, child_env):
+        # A fresh process, since earlier tests may have set the pin in this one.
+        done = subprocess.run(
+            [sys.executable, "-c", PIN_PROBE, str(tmp_path / "data.csv"),
+             str(tmp_path / "precision.csv")],
+            env=child_env(OPENBLAS_NUM_THREADS="2"), capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        stages = json.loads(done.stdout.strip().splitlines()[-1])
+        if len(stages["start"]) < 2:
+            pytest.skip("numpy and scipy do not both bundle OpenBLAS")
+        assert all(count > 1 for count in stages["start"])
+        assert stages["no_library"] == stages["start"]
+        assert stages["estimate"] == stages["start"]
+        assert stages["grid_point"] == [1] * len(stages["start"])

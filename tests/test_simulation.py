@@ -1,5 +1,7 @@
 """Data generation, replication engine, and builtin experiments."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from precshrink import (
     run_experiment,
     run_grid_point,
 )
+from precshrink import simulation
 from precshrink.linalg import matrix_norms
 from precshrink.simulation import THREE_BLOCK, with_overrides
 
@@ -129,6 +132,47 @@ class TestRunExperiment:
         for ra, rb in zip(reps_a, reps_b):
             assert ra.losses == rb.losses
             assert ra.weights == rb.weights
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_grid_point(small_config(), 15, threads=threads)
+
+    def test_worker_pool_capped(self, monkeypatch):
+        requested = []
+
+        class RecordingExecutor:
+            """Records the pool size asked for and maps serially: no threads start."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingExecutor)
+        config = small_config(replications=4)
+        run_grid_point(config, 15, threads=64)
+        workers = min(64, simulation.usable_cpus(), 4)
+        assert requested == ([workers] if workers > 1 else [])
+        requested.clear()
+        monkeypatch.setattr(simulation, "usable_cpus", lambda: 8)
+        for threads in (64, 3):
+            run_grid_point(config, 15, threads=threads)
+        monkeypatch.setattr(simulation, "usable_cpus", lambda: 2)
+        run_grid_point(config, 15, threads=64)
+        assert requested == [4, 3, 2]
+
+    def test_usable_cpus_follows_affinity(self):
+        expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count())
+        assert simulation.usable_cpus() == expected
 
     def test_regime_routing_low_ratio(self):
         report = run_experiment(small_config(p_grid=(15,)))[0]
