@@ -196,7 +196,7 @@ def _weighted_dual_info(truth: CovarianceModel, theta: np.ndarray, ratio: float)
     if theta.shape != (truth.p, truth.p):
         raise ValueError(f"theta must be {truth.p}x{truth.p}, got {theta.shape}")
     if not is_symmetric(theta):
-        raise ValueError("theta must be symmetric; rank-one products have a dedicated path")
+        raise ValueError("theta must be symmetric")
     congruence = truth.inv_sqrt @ theta @ truth.inv_sqrt
     d = np.linalg.eigvalsh((congruence + congruence.T) / 2.0)
     if d[0] <= 0.0:
@@ -217,25 +217,13 @@ def weighted_dual_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: 
     return _weighted_dual_info(truth, theta, ratio).value
 
 
-def rank_one_dual_trace_limit(
-    truth: CovarianceModel, xi: np.ndarray, eta: np.ndarray, ratio: float
-) -> float:
-    """Closed-form solution of the weighted equation for outer(xi, eta).
-
-    The self-consistent equation collapses to a linear one for a rank-one
-    weighting. For an isotropic population the bilinear form
-    eta' pinv(S) xi converges to this value divided by ratio; the general
-    bilinear limit is :func:`pinv_bilinear_limit`.
-    """
-    _require_gt1(ratio, "rank_one_dual_trace_limit")
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    if xi.size != truth.p or eta.size != truth.p:
-        raise ValueError("xi and eta must be length-p vectors")
-    return float(eta @ truth.precision @ xi) / (ratio - 1.0)
+def _dual_roots(truth: CovarianceModel, ratio: float) -> tuple[float, float]:
+    """The dual trace root x and the curvature factor x', ratio > 1."""
+    x = _dual_trace_info(truth, ratio).value
+    return x, dual_inverse_frobenius_limit(truth, ratio, x)
 
 
-def _pinv_equivalent_matrix(truth: CovarianceModel, ratio: float) -> np.ndarray:
+def _pinv_equivalent_matrix(truth: CovarianceModel, x: float, x_prime: float) -> np.ndarray:
     """Deterministic equivalent of pinv(S) as a matrix, ratio > 1.
 
     Expanding the resolvent equivalent of S around zero gives
@@ -243,8 +231,6 @@ def _pinv_equivalent_matrix(truth: CovarianceModel, ratio: float) -> np.ndarray:
     with x the dual trace root and x' the curvature factor. Evaluating the
     middle matrix once makes every weighted limit a plain trace product.
     """
-    x = _dual_trace_info(truth, ratio).value
-    x_prime = dual_inverse_frobenius_limit(truth, ratio, x)
     tau = truth.eigenvalues
     diag = x_prime * tau / (x * tau + 1.0) ** 2
     b = truth.basis
@@ -263,7 +249,7 @@ def pinv_weighted_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: 
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (truth.p, truth.p):
         raise ValueError(f"theta must be {truth.p}x{truth.p}, got {theta.shape}")
-    return trace_product(_pinv_equivalent_matrix(truth, ratio), theta)
+    return trace_product(_pinv_equivalent_matrix(truth, *_dual_roots(truth, ratio)), theta)
 
 
 def pinv_bilinear_limit(
@@ -275,7 +261,7 @@ def pinv_bilinear_limit(
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if xi.size != truth.p or eta.size != truth.p:
         raise ValueError("xi and eta must be length-p vectors")
-    return float(eta @ _pinv_equivalent_matrix(truth, ratio) @ xi)
+    return float(eta @ _pinv_equivalent_matrix(truth, *_dual_roots(truth, ratio)) @ xi)
 
 
 def limit_weights_lt1(
@@ -314,9 +300,13 @@ def limit_weights_gt1(
     equals the true precision.
     """
     _require_gt1(ratio, "limit_weights_gt1")
-    x = _dual_trace_info(truth, ratio).value
-    x_prime = dual_inverse_frobenius_limit(truth, ratio, x)
-    equivalent = _pinv_equivalent_matrix(truth, ratio)
+    return _limit_weights_gt1(truth, target, ratio, *_dual_roots(truth, ratio))
+
+
+def _limit_weights_gt1(
+    truth: CovarianceModel, target: TargetMatrix, ratio: float, x: float, x_prime: float
+) -> ShrinkageWeights:
+    equivalent = _pinv_equivalent_matrix(truth, x, x_prime)
     inv_truth_eq = trace_product(equivalent, truth.precision)
     inv_target_eq = trace_product(equivalent, target.matrix)
     inv_frobenius_eq = truth.p / ratio * x_prime
@@ -339,8 +329,8 @@ def compute_limit_functionals(
     limit; ratio > 1 solves the dual fixed points on ``truth``. Passing a
     target adds the limiting shrinkage weights.
     """
-    if ratio <= 0.0 or ratio == 1.0:
-        raise ValueError("ratio must be positive and different from 1")
+    if not np.isfinite(ratio) or ratio <= 0.0 or ratio == 1.0:
+        raise ValueError(f"ratio must be finite, positive and different from 1, got {ratio}")
     residuals: dict = {}
     iterations: dict = {}
     if ratio < 1.0:
@@ -367,7 +357,7 @@ def compute_limit_functionals(
         target_dual = target_info.value
         residuals["target_dual_trace"] = target_info.residual
         iterations["target_dual_trace"] = target_info.iterations
-        weights = limit_weights_gt1(truth, target, ratio)
+        weights = _limit_weights_gt1(truth, target, ratio, trace_info.value, x_prime)
         alpha, beta = weights.alpha, weights.beta
     return LimitFunctionals(
         ratio=ratio,

@@ -44,9 +44,6 @@ OLSE_PRECISION = "olse_precision"
 OLSE_PRECISION_ORACLE = "olse_precision_oracle"
 OLSE_COV_INV = "olse_cov_inv"
 EV_ORACLE = "ev_oracle"
-ALL_ESTIMATOR_IDS = frozenset(
-    {SAMPLE_INV, SAMPLE_PINV, OLSE_PRECISION, OLSE_PRECISION_ORACLE, OLSE_COV_INV, EV_ORACLE}
-)
 
 NEAR_SINGULAR_RATIO = 0.95
 DEGENERACY_RTOL = 1e-12
@@ -142,11 +139,6 @@ def _require_invertible(stats: SampleStats, op: str) -> None:
         )
 
 
-def _require_pseudo(stats: SampleStats, op: str) -> None:
-    if stats.regime != REGIME_PSEUDO:
-        raise RegimeError(f"{op} requires the pseudo-inverse regime (p >= n)")
-
-
 def hessian_determinant(inv_frobenius_sq: float, target_frobenius_sq: float, cross_trace: float) -> float:
     """Determinant of the quadratic-loss Hessian in (alpha, beta).
 
@@ -182,13 +174,20 @@ def optimal_weights_from_functionals(
     return alpha, beta
 
 
-def _oracle_weights(stats: SampleStats, truth: CovarianceModel, target: TargetMatrix):
+def _oracle_olse(
+    stats: SampleStats, truth: CovarianceModel, target: TargetMatrix, regime: str
+) -> PrecisionEstimate:
+    _check_dims(stats.p, truth.precision, "truth")
+    _check_dims(stats.p, target.matrix, "target")
     a = trace_product(stats.inverse, truth.precision)
     b = trace_product(truth.precision, target.matrix)
     c = trace_product(stats.inverse, target.matrix)
-    return optimal_weights_from_functionals(
+    alpha, beta = optimal_weights_from_functionals(
         a, b, c, stats.inverse_frobenius_sq, target.frobenius_sq
     )
+    matrix = alpha * stats.inverse + beta * target.matrix
+    weights = ShrinkageWeights(alpha, beta, regime, PROVENANCE_ORACLE)
+    return PrecisionEstimate(matrix, weights, OLSE_PRECISION_ORACLE)
 
 
 def oracle_olse_lt1(
@@ -202,25 +201,16 @@ def oracle_olse_lt1(
     the target equals the true precision.
     """
     _require_invertible(stats, "oracle_olse_lt1")
-    _check_dims(stats.p, truth.precision, "truth")
-    _check_dims(stats.p, target.matrix, "target")
-    alpha, beta = _oracle_weights(stats, truth, target)
-    matrix = alpha * stats.inverse + beta * target.matrix
-    weights = ShrinkageWeights(alpha, beta, REGIME_LT1, PROVENANCE_ORACLE)
-    return PrecisionEstimate(matrix, weights, OLSE_PRECISION_ORACLE)
+    return _oracle_olse(stats, truth, target, REGIME_LT1)
 
 
 def oracle_olse_gt1(
     stats: SampleStats, truth: CovarianceModel, target: TargetMatrix
 ) -> PrecisionEstimate:
     """Oracle optimal linear shrinkage of the pseudo-inverse (p >= n)."""
-    _require_pseudo(stats, "oracle_olse_gt1")
-    _check_dims(stats.p, truth.precision, "truth")
-    _check_dims(stats.p, target.matrix, "target")
-    alpha, beta = _oracle_weights(stats, truth, target)
-    matrix = alpha * stats.inverse + beta * target.matrix
-    weights = ShrinkageWeights(alpha, beta, REGIME_GT1, PROVENANCE_ORACLE)
-    return PrecisionEstimate(matrix, weights, OLSE_PRECISION_ORACLE)
+    if stats.regime != REGIME_PSEUDO:
+        raise RegimeError("oracle_olse_gt1 requires the pseudo-inverse regime (p >= n)")
+    return _oracle_olse(stats, truth, target, REGIME_GT1)
 
 
 def trace_precision_estimate(stats: SampleStats, theta: np.ndarray) -> float:
@@ -291,7 +281,6 @@ def estimate_isotropic_precision(stats: SampleStats) -> float:
     """
     if stats.p <= stats.n:
         raise RegimeError("estimate_isotropic_precision requires p > n")
-    _require_pseudo(stats, "estimate_isotropic_precision")
     r = stats.ratio
     return r * (r - 1.0) * stats.inverse_trace_norm / stats.p
 

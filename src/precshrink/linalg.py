@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra kernels.
 
 Sample covariance, symmetric eigendecomposition, inverse / Moore-Penrose
-pseudo-inverse via the spectral route, the three matrix norms used by the
-estimators (squared Frobenius, trace norm, spectral norm), and the switch to
-single-threaded BLAS that replication work runs under.
+pseudo-inverse via the spectral route, the trace and Frobenius helpers used
+by the estimators, and the switch to single-threaded BLAS that replication
+work runs under.
 """
 
 from __future__ import annotations
@@ -152,22 +152,6 @@ def rank_tolerance(eigenvalues: np.ndarray, p: int) -> float:
     return p * np.finfo(float).eps * max(largest, 0.0)
 
 
-def _spectral_pseudo_inverse(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray, tol: float
-) -> np.ndarray:
-    inv_vals = np.where(eigenvalues > tol, 1.0, 0.0) / np.where(
-        eigenvalues > tol, eigenvalues, 1.0
-    )
-    if not np.any(eigenvalues > tol):
-        warnings.warn(
-            "all eigenvalues below rank tolerance; pseudo-inverse is degenerate "
-            "(zero matrix)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return symmetrize((eigenvectors * inv_vals) @ eigenvectors.T)
-
-
 def sample_covariance(data, center: bool = False) -> SampleStats:
     """Form S = (1/n) Y Y' and its eigendecomposition.
 
@@ -199,9 +183,17 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
         trace_norm = float(np.sum(1.0 / eigenvalues))
     else:
         regime = REGIME_PSEUDO
-        inverse = _spectral_pseudo_inverse(eigenvalues, eigenvectors, tol)
-        kept = eigenvalues[eigenvalues > tol]
-        trace_norm = float(np.sum(1.0 / kept)) if kept.size else 0.0
+        positive = eigenvalues > tol
+        if not np.any(positive):
+            warnings.warn(
+                "all eigenvalues below rank tolerance; pseudo-inverse is degenerate "
+                "(zero matrix)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        inv_vals = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
+        inverse = symmetrize((eigenvectors * inv_vals) @ eigenvectors.T)
+        trace_norm = float(np.sum(1.0 / eigenvalues[positive]))
     return SampleStats(
         matrix=s,
         eigenvalues=eigenvalues,
@@ -213,32 +205,3 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
         p=p,
         n=n,
     )
-
-
-def pseudo_inverse(stats: SampleStats) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse from the cached eigendecomposition.
-
-    Eigenvalues at or below the rank tolerance are zeroed; for an invertible
-    S this reduces to the plain inverse.
-    """
-    tol = rank_tolerance(stats.eigenvalues, stats.p)
-    return _spectral_pseudo_inverse(stats.eigenvalues, stats.eigenvectors, tol)
-
-
-def matrix_norms(a: np.ndarray) -> tuple[float, float, float]:
-    """Return (squared Frobenius norm, trace norm, spectral norm).
-
-    Symmetric inputs use the eigenvalue route (trace norm = sum |eig|,
-    spectral = max |eig|); general matrices fall back to singular values.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix_norms expects a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    frob_sq = frobenius_sq(a)
-    if is_symmetric(a):
-        w = np.linalg.eigvalsh(a)
-        return frob_sq, float(np.sum(np.abs(w))), float(np.max(np.abs(w)))
-    sv = np.linalg.svd(a, compute_uv=False)
-    return frob_sq, float(np.sum(sv)), float(sv[0])

@@ -10,14 +10,13 @@ for any thread count.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import RegimeError
 from .estimators import (
-    ALL_ESTIMATOR_IDS,
     EV_ORACLE,
     NEAR_SINGULAR_RATIO,
     OLSE_COV_INV,
@@ -35,7 +34,6 @@ from .estimators import (
 from .linalg import (
     REGIME_INVERTIBLE,
     DataMatrix,
-    SampleStats,
     sample_covariance,
     use_single_threaded_blas,
 )
@@ -48,9 +46,6 @@ STUDENT_T = "student_t"
 TARGET_IDENTITY = "identity_over_p"
 TARGET_TRUE_PRECISION = "true_precision"
 TARGET_COV_SPECTRUM = "cov_spectrum"
-
-# Estimator kinds that take no shrinkage target.
-_TARGET_FREE = frozenset({SAMPLE_INV, SAMPLE_PINV, EV_ORACLE})
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,15 @@ class ExperimentConfig:
         for p in self.p_grid:
             if grid_sample_size(p, self.ratio) < 2:
                 raise ValueError(f"p={p} with ratio={self.ratio} gives n < 2")
-        unknown = set(self.estimators) - ALL_ESTIMATOR_IDS
+        unknown = set(self.estimators) - _ESTIMATORS.keys()
         if unknown:
             raise ValueError(f"unknown estimator ids: {sorted(unknown)}")
-        targeted = set(self.estimators) - _TARGET_FREE
+        target_names = [spec.name for spec in self.targets]
+        for what, names in (("estimator ids", self.estimators), ("target names", target_names)):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ValueError(f"duplicate {what}: {repeated}")
+        targeted = {kind for kind in self.estimators if _ESTIMATORS[kind].needs_target}
         if targeted and not self.targets:
             raise ValueError(f"estimators {sorted(targeted)} need at least one target spec")
         if int(self.seed) < 0:
@@ -192,10 +192,72 @@ def generate_data(
     return DataMatrix(truth.sqrt @ x)
 
 
+def _run_inverse(stats, truth, row, clamp):
+    return frobenius_loss(stats.inverse, truth.precision), None
+
+
+def _run_ev_oracle(stats, truth, row, clamp):
+    return frobenius_loss(oracle_equivariant(stats, truth).matrix, truth.precision), None
+
+
+def _run_bona_fide(stats, truth, row, clamp):
+    est = bona_fide_olse(stats, row.precision_target, clamp=clamp)
+    return frobenius_loss(est.matrix, truth.precision), (est.weights.alpha, est.weights.beta)
+
+
+def _run_oracle_olse(stats, truth, row, clamp):
+    oracle = oracle_olse_lt1 if stats.regime == REGIME_INVERTIBLE else oracle_olse_gt1
+    est = oracle(stats, truth, row.precision_target)
+    return frobenius_loss(est.matrix, truth.precision), (est.weights.alpha, est.weights.beta)
+
+
+def _run_olse_cov_inv(stats, truth, row, clamp):
+    est = olse_covariance(stats, row.covariance_target)
+    return frobenius_loss(est.inverse, truth.precision), (est.weights.alpha, est.weights.beta)
+
+
+@dataclass(frozen=True)
+class _Estimator:
+    """What the replication engine knows about one estimator id.
+
+    ``needs_target``: one row per target, and ``run`` reports (alpha, beta).
+    ``run(stats, truth, row, clamp) -> (loss, (alpha, beta) | None)`` looks up
+    ``frobenius_loss`` and the estimator by module name at call time, so
+    rebinding those names (as tracing does) reaches every row.
+    """
+
+    needs_target: bool
+    run: Callable[..., tuple[float, tuple[float, float] | None]]
+    skip_when_pseudo: str | None = None
+    skip_when_invertible: str | None = None
+    skip_near_singular: bool = False
+
+    def skip_reason(self, ratio: float, invertible: bool) -> str | None:
+        """Why the estimator does not apply at this grid point, or None."""
+        if not invertible:
+            return self.skip_when_pseudo
+        if self.skip_near_singular and ratio > NEAR_SINGULAR_RATIO:
+            return f"p/n = {ratio:.3f} lies in the near-singular band"
+        return self.skip_when_invertible
+
+
+_ESTIMATORS = {
+    SAMPLE_INV: _Estimator(False, _run_inverse,
+                           skip_when_pseudo="sample inverse undefined for p >= n"),
+    SAMPLE_PINV: _Estimator(False, _run_inverse,
+                            skip_when_invertible="pseudo-inverse baseline applies only for p >= n"),
+    OLSE_PRECISION: _Estimator(True, _run_bona_fide, skip_near_singular=True,
+                               skip_when_pseudo="bona fide estimator is undefined for p >= n"),
+    OLSE_PRECISION_ORACLE: _Estimator(True, _run_oracle_olse, skip_near_singular=True),
+    OLSE_COV_INV: _Estimator(True, _run_olse_cov_inv),
+    EV_ORACLE: _Estimator(False, _run_ev_oracle),
+}
+
+
 @dataclass(frozen=True)
 class _PlannedEstimator:
     row_id: str
-    kind: str
+    estimator: _Estimator
     precision_target: TargetMatrix | None = None
     covariance_target: TargetMatrix | None = None
 
@@ -226,7 +288,6 @@ def _plan_estimators(
     """
     ratio = p / n
     invertible = p < n
-    near_singular = invertible and ratio > NEAR_SINGULAR_RATIO
     baseline_id = SAMPLE_INV if invertible else SAMPLE_PINV
     kinds = list(config.estimators)
     if baseline_id not in kinds:
@@ -235,65 +296,20 @@ def _plan_estimators(
     plan: list[_PlannedEstimator] = []
     skipped: dict[str, str] = {}
     order: list[str] = []
-
-    def add(row_id, kind, precision_target=None, covariance_target=None, skip_reason=None):
-        order.append(row_id)
-        if skip_reason is not None:
-            skipped[row_id] = skip_reason
-        else:
-            plan.append(_PlannedEstimator(row_id, kind, precision_target, covariance_target))
-
     for kind in kinds:
-        if kind in _TARGET_FREE:
-            reason = None
-            if kind == SAMPLE_INV and not invertible:
-                reason = "sample inverse undefined for p >= n"
-            elif kind == SAMPLE_PINV and invertible:
-                reason = "pseudo-inverse baseline applies only for p >= n"
-            add(kind, kind, skip_reason=reason)
-            continue
-        if not resolved:
-            raise ValueError(f"estimator {kind!r} needs at least one target spec")
-        for spec, precision_target, covariance_target in resolved:
-            row_id = f"{kind}[{spec.name}]"
-            reason = None
-            if kind == OLSE_PRECISION:
-                if not invertible:
-                    reason = "bona fide estimator is undefined for p >= n"
-                elif near_singular:
-                    reason = f"p/n = {ratio:.3f} lies in the near-singular band"
-            elif kind == OLSE_PRECISION_ORACLE and near_singular:
-                reason = f"p/n = {ratio:.3f} lies in the near-singular band"
-            add(row_id, kind, precision_target, covariance_target, skip_reason=reason)
+        estimator = _ESTIMATORS[kind]
+        reason = estimator.skip_reason(ratio, invertible)
+        rows = [_PlannedEstimator(kind, estimator)]
+        if estimator.needs_target:
+            rows = [_PlannedEstimator(f"{kind}[{spec.name}]", estimator, precision, covariance)
+                    for spec, precision, covariance in resolved]
+        for row in rows:
+            order.append(row.row_id)
+            if reason is None:
+                plan.append(row)
+            else:
+                skipped[row.row_id] = reason
     return plan, skipped, baseline_id, order
-
-
-def _evaluate(
-    planned: _PlannedEstimator,
-    stats: SampleStats,
-    truth: CovarianceModel,
-    clamp: bool,
-) -> tuple[float, tuple[float, float] | None]:
-    kind = planned.kind
-    if kind in (SAMPLE_INV, SAMPLE_PINV):
-        return frobenius_loss(stats.inverse, truth.precision), None
-    if kind == EV_ORACLE:
-        return frobenius_loss(oracle_equivariant(stats, truth).matrix, truth.precision), None
-    if kind == OLSE_PRECISION:
-        estimate = bona_fide_olse(stats, planned.precision_target, clamp=clamp)
-    elif kind == OLSE_PRECISION_ORACLE:
-        if stats.regime == REGIME_INVERTIBLE:
-            estimate = oracle_olse_lt1(stats, truth, planned.precision_target)
-        else:
-            estimate = oracle_olse_gt1(stats, truth, planned.precision_target)
-    elif kind == OLSE_COV_INV:
-        cov = olse_covariance(stats, planned.covariance_target)
-        loss = frobenius_loss(cov.inverse, truth.precision)
-        return loss, (cov.weights.alpha, cov.weights.beta)
-    else:
-        raise RegimeError(f"unknown estimator kind {kind!r}")
-    loss = frobenius_loss(estimate.matrix, truth.precision)
-    return loss, (estimate.weights.alpha, estimate.weights.beta)
 
 
 def usable_cpus() -> int:
@@ -328,7 +344,7 @@ def run_grid_point(
         losses: dict[str, float] = {}
         weights: dict[str, tuple[float, float]] = {}
         for planned in plan:
-            loss, pair = _evaluate(planned, stats, truth, config.clamp)
+            loss, pair = planned.estimator.run(stats, truth, planned, config.clamp)
             losses[planned.row_id] = loss
             if pair is not None:
                 weights[planned.row_id] = pair
@@ -342,16 +358,13 @@ def run_grid_point(
     else:
         results = [one_replication(r) for r in indices]
 
-    losses = {
-        row_id: np.array([res.losses[row_id] for res in results])
-        for row_id in (planned.row_id for planned in plan)
-    }
+    losses = {row.row_id: np.array([res.losses[row.row_id] for res in results]) for row in plan}
     weights = {}
-    for planned in plan:
-        if all(planned.row_id in res.weights for res in results):
-            alphas = np.array([res.weights[planned.row_id][0] for res in results])
-            betas = np.array([res.weights[planned.row_id][1] for res in results])
-            weights[planned.row_id] = (alphas, betas)
+    for row in plan:
+        if row.estimator.needs_target:
+            alphas = np.array([res.weights[row.row_id][0] for res in results])
+            betas = np.array([res.weights[row.row_id][1] for res in results])
+            weights[row.row_id] = (alphas, betas)
     report = summarize_replications(
         p=p,
         n=n,

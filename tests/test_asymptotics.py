@@ -18,11 +18,11 @@ from precshrink import (
     limit_weights_lt1,
     oracle_olse_gt1,
     oracle_olse_lt1,
-    rank_one_dual_trace_limit,
     replication_rng,
     sample_covariance,
     weighted_dual_trace_limit,
 )
+from precshrink import asymptotics
 from precshrink.asymptotics import pinv_bilinear_limit, pinv_weighted_trace_limit
 from precshrink.simulation import THREE_BLOCK
 
@@ -182,27 +182,18 @@ class TestWeightedDualTraceLimit:
 
 
 class TestRankOneLimit:
-    def test_closed_form(self):
-        truth = build_covariance(THREE_BLOCK, 10)
-        xi = np.zeros(10)
-        xi[0] = 1.0
-        eta = np.zeros(10)
-        eta[3] = 1.0
-        value = rank_one_dual_trace_limit(truth, xi, eta, 1.5)
-        expected = (eta @ truth.precision @ xi) / 0.5
-        assert value == expected
+    """Bilinear forms eta' pinv(S) xi, the rank-one weighting of the trace limits."""
 
     def test_isotropic_matches_generic_path(self):
-        sigma = 2.0
-        truth = CovarianceModel.isotropic(15, sigma)
+        # Classical isotropic limit (1/sigma) / (ratio (ratio - 1)) for a unit xi.
+        truth = CovarianceModel.isotropic(15, 2.0)
         xi = np.ones(15) / np.sqrt(15.0)
-        direct = rank_one_dual_trace_limit(truth, xi, xi, 2.0)
-        assert direct == pytest.approx((1.0 / sigma) / 1.0, rel=1e-12)
+        assert pinv_bilinear_limit(truth, xi, xi, 2.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_wrong_length_rejected(self):
         truth = CovarianceModel.isotropic(5, 1.0)
         with pytest.raises(ValueError, match="length-p"):
-            rank_one_dual_trace_limit(truth, np.ones(4), np.ones(5), 2.0)
+            pinv_bilinear_limit(truth, np.ones(4), np.ones(5), 2.0)
 
 
 class TestPinvEquivalents:
@@ -359,3 +350,26 @@ class TestLimitFunctionalsBundle:
         truth = CovarianceModel.isotropic(10, 1.0)
         with pytest.raises(ValueError):
             compute_limit_functionals(truth, 1.0)
+
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan"), float("-inf")])
+    def test_non_finite_ratio_rejected(self, ratio):
+        truth = build_covariance(THREE_BLOCK, 30)
+        with pytest.raises(ValueError, match="finite"):
+            compute_limit_functionals(truth, ratio, target=TargetMatrix.identity_over_p(30))
+
+    def test_dual_fixed_point_solved_once(self, monkeypatch):
+        truth = build_covariance(THREE_BLOCK, 30)
+        target = TargetMatrix.identity_over_p(30)
+        solved = []
+        solve = asymptotics._solve_self_consistent
+
+        def counting(*args):
+            solved.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(asymptotics, "_solve_self_consistent", counting)
+        limits = compute_limit_functionals(truth, 1.5, target=target)
+        # One dual trace root and one target-weighted root, nothing solved twice.
+        assert len(solved) == 2
+        weights = limit_weights_gt1(truth, target, 1.5)
+        assert (limits.alpha, limits.beta) == (weights.alpha, weights.beta)

@@ -93,6 +93,24 @@ estimators: [sample_inv]
         assert main(["simulate", str(config), "--seed", "3", "--out",
                      str(config.with_suffix(".csv"))]) == 0
 
+    def test_duplicate_ids_and_targets_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "dup.yaml"
+        body = """
+spectrum: [{weight: 1.0, eigenvalue: 1.0}]
+ratio: 0.25
+p_grid: [8]
+replications: 2
+seed: 1
+"""
+        config.write_text(body + "targets: [identity_over_p, identity_over_p]\n"
+                          "estimators: [sample_inv, olse_precision]\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "a.csv")]) == 2
+        assert "duplicate target names" in capsys.readouterr().err
+        config.write_text(body + "estimators: [sample_inv, olse_precision, olse_precision]\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "b.csv")]) == 2
+        assert "duplicate estimator ids" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text("spectrum: [{weight: 1.0}]\nratio: 0.5\n")
@@ -260,6 +278,13 @@ class TestLimits:
 
     def test_ratio_one_rejected(self, capsys):
         assert main(["limits", "--spectrum", "identity", "--ratio", "1.0"]) == 2
+
+    @pytest.mark.parametrize("ratio", ["inf", "nan"])
+    def test_non_finite_ratio_exit_2(self, ratio, capsys):
+        assert main(["limits", "--spectrum", "threeblock", "--ratio", ratio, "--p", "60",
+                     "--target", "identity_over_p"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
 
     def test_unknown_spectrum_exit_2(self, capsys):
         assert main(["limits", "--spectrum", "mystery", "--ratio", "0.5"]) == 2

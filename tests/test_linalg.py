@@ -1,4 +1,4 @@
-"""Sample covariance, eigendecomposition, pseudo-inverse, norms and the BLAS pin."""
+"""Sample covariance, eigendecomposition, pseudo-inverse and the BLAS pin."""
 
 import json
 import os
@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from precshrink import DataMatrix, SingularMatrixError, matrix_norms, pseudo_inverse, sample_covariance
+from precshrink import DataMatrix, SingularMatrixError, sample_covariance
 from precshrink.linalg import REGIME_INVERTIBLE, REGIME_PSEUDO, rank_tolerance
 from precshrink.simulation import usable_cpus
 
@@ -59,8 +59,7 @@ class TestSampleCovariance:
         rng = np.random.default_rng(42)
         y = rng.standard_normal((10, 1000))
         stats = sample_covariance(y)
-        _, _, spectral = matrix_norms(stats.matrix - np.eye(10))
-        assert spectral < 0.3
+        assert np.linalg.norm(stats.matrix - np.eye(10), 2) < 0.3
 
     def test_regime_invertible(self):
         rng = np.random.default_rng(1)
@@ -117,12 +116,7 @@ class TestSampleCovariance:
 class TestPseudoInverse:
     def test_diagonal(self):
         stats = sample_covariance(np.array([[2.0, 0.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(pseudo_inverse(stats), np.diag([0.5, 0.0]), atol=1e-15)
-
-    def test_reduces_to_inverse(self):
-        rng = np.random.default_rng(8)
-        stats = sample_covariance(rng.standard_normal((4, 40)))
-        np.testing.assert_allclose(pseudo_inverse(stats), stats.inverse, atol=1e-10)
+        np.testing.assert_allclose(stats.inverse, np.diag([0.5, 0.0]), atol=1e-15)
 
     def test_moore_penrose_identities(self):
         rng = np.random.default_rng(9)
@@ -153,34 +147,6 @@ class TestPseudoInverse:
         with pytest.warns(RuntimeWarning, match="degenerate"):
             stats = sample_covariance(stats_input)
         np.testing.assert_array_equal(stats.inverse, np.zeros((3, 3)))
-
-
-class TestMatrixNorms:
-    def test_identity(self):
-        assert matrix_norms(np.eye(3)) == (3.0, 3.0, 1.0)
-
-    def test_indefinite_diagonal(self):
-        frob_sq, trace_norm, spectral = matrix_norms(np.diag([1.0, -2.0]))
-        assert frob_sq == 5.0
-        assert trace_norm == pytest.approx(3.0, abs=1e-12)
-        assert spectral == pytest.approx(2.0, abs=1e-12)
-
-    def test_positive_diagonal(self):
-        frob_sq, trace_norm, spectral = matrix_norms(np.diag([1.0, 3.0]))
-        assert frob_sq == 10.0
-        assert trace_norm == pytest.approx(4.0, abs=1e-12)
-        assert spectral == pytest.approx(3.0, abs=1e-12)
-
-    def test_general_matrix_uses_singular_values(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        frob_sq, trace_norm, spectral = matrix_norms(a)
-        assert frob_sq == 1.0
-        assert trace_norm == pytest.approx(1.0, abs=1e-12)
-        assert spectral == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            matrix_norms(np.zeros((2, 3)))
 
 
 PIN_PROBE = r"""

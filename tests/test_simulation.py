@@ -9,6 +9,7 @@ from precshrink import (
     CovarianceModel,
     DistributionSpec,
     ExperimentConfig,
+    SpectrumSpec,
     TargetSpec,
     build_covariance,
     builtin_experiments,
@@ -18,7 +19,6 @@ from precshrink import (
     run_grid_point,
 )
 from precshrink import simulation
-from precshrink.linalg import matrix_norms
 from precshrink.simulation import THREE_BLOCK, with_overrides
 
 
@@ -85,7 +85,7 @@ class TestGenerateData:
         truth = CovarianceModel.isotropic(10, 1.0)
         data = generate_data(truth, 1000, DistributionSpec("gaussian"), replication_rng(1, 10, 0))
         s = (data.values @ data.values.T) / 1000.0
-        assert matrix_norms(s - np.eye(10))[2] < 0.3
+        assert np.linalg.norm(s - np.eye(10), 2) < 0.3
 
     def test_student_t_unit_variance(self):
         truth = CovarianceModel.isotropic(1, 1.0)
@@ -209,6 +209,29 @@ class TestRunExperiment:
         report = run_experiment(config)[0]
         assert report.summary("sample_inv").prial_percent == 0.0
 
+    def test_estimators_looked_up_by_name_at_call_time(self, monkeypatch):
+        # Rebinding a module-level name (as tracing does) must reach every row.
+        calls = {}
+
+        def counting(name):
+            func = getattr(simulation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return func(*args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, wrapper)
+
+        names = ("frobenius_loss", "bona_fide_olse", "oracle_olse_lt1", "olse_covariance",
+                 "oracle_equivariant")
+        for name in names:
+            counting(name)
+        estimators = ("sample_inv", "olse_precision", "olse_precision_oracle", "olse_cov_inv",
+                      "ev_oracle")
+        run_grid_point(small_config(estimators=estimators, p_grid=(15,), replications=2), 15)
+        assert calls == {"frobenius_loss": 10, "bona_fide_olse": 2, "oracle_olse_lt1": 2,
+                         "olse_covariance": 2, "oracle_equivariant": 2}
+
 
 class TestConfigValidation:
     def test_sample_size_floor(self):
@@ -226,6 +249,19 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             small_config(seed=-3)
+
+    def test_duplicate_estimator_ids(self):
+        with pytest.raises(ValueError, match=r"duplicate estimator ids: \['olse_precision'\]"):
+            small_config(estimators=("sample_inv", "olse_precision", "olse_precision"))
+
+    def test_duplicate_target_names(self):
+        identity = TargetSpec.identity_over_p()
+        with pytest.raises(ValueError, match=r"duplicate target names: \['identity_over_p'\]"):
+            small_config(targets=(identity, identity))
+        prior = TargetSpec.from_cov_spectrum("prior", THREE_BLOCK)
+        other = TargetSpec.from_cov_spectrum("prior", SpectrumSpec.identity())
+        with pytest.raises(ValueError, match="duplicate target names"):
+            small_config(targets=(prior, other))
 
     def test_targeted_estimators_need_targets(self):
         with pytest.raises(ValueError, match="target spec"):
