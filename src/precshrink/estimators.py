@@ -332,6 +332,6 @@ def oracle_equivariant(stats: SampleStats, truth: CovarianceModel) -> PrecisionE
     """
     _check_dims(stats.p, truth.precision, "truth")
     u = stats.eigenvectors
-    rotated_diag = np.einsum("ij,ij->j", u, truth.precision @ u)
+    rotated_diag = np.einsum("ij,ij->j", u, (1.0 / truth.eigenvalues)[:, None] * u)
     matrix = symmetrize((u * rotated_diag) @ u.T)
     return PrecisionEstimate(matrix, None, EV_ORACLE)

@@ -66,6 +66,8 @@ class DistributionSpec:
         df = self.degrees_of_freedom
         if df is None:
             raise ValueError("student_t requires degrees_of_freedom")
+        if not np.isfinite(df):
+            raise ValueError(f"student_t degrees_of_freedom must be finite, got {df}")
         if df <= 2.0:
             raise ValueError("student_t needs df > 2 for the variance to exist")
         if df <= 4.0 and not self.allow_low_df:
@@ -128,8 +130,8 @@ class ExperimentConfig:
     center: bool = False
 
     def __post_init__(self):
-        if self.ratio <= 0.0:
-            raise ValueError(f"ratio must be positive, got {self.ratio}")
+        if not np.isfinite(self.ratio) or self.ratio <= 0.0:
+            raise ValueError(f"ratio must be finite and positive, got {self.ratio}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if not self.p_grid:
@@ -180,6 +182,8 @@ def generate_data(
 ) -> DataMatrix:
     """Draw Y = sqrt(Sigma) X with X i.i.d. mean zero, variance one.
 
+    Sigma is diagonal, so sqrt(Sigma) X scales row i of X by sqrt(tau_i).
+
     Student-t draws are rescaled by sqrt((df-2)/df) so the unit-variance
     contract holds for every distribution.
     """
@@ -189,7 +193,7 @@ def generate_data(
     else:
         df = dist.degrees_of_freedom
         x = rng.standard_t(df, size=(p, n)) * np.sqrt((df - 2.0) / df)
-    return DataMatrix(truth.sqrt @ x)
+    return DataMatrix(np.sqrt(truth.eigenvalues)[:, None] * x)
 
 
 def _run_inverse(stats, truth, row, clamp):

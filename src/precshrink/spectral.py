@@ -1,4 +1,7 @@
-"""Population covariance models built from discrete eigenvalue spectra."""
+"""Population covariance models built from discrete eigenvalue spectra.
+
+Every model is diagonal in the standard basis: the spectrum alone defines it.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_sq, symmetrize
+from .linalg import frobenius_sq
 
 WEIGHT_SUM_TOL = 1e-12
-ORTHONORMAL_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class SpectrumSpec:
             raise ValueError("spectrum needs at least one atom")
         weights = np.array([w for w, _ in atoms])
         values = np.array([v for _, v in atoms])
-        if np.any(weights < 0.0) or np.any(weights > 1.0):
+        if not np.all((weights >= 0.0) & (weights <= 1.0)):  # NaN fails too
             raise ValueError("atom weights must lie in [0, 1]")
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"atom weights must sum to 1, got {weights.sum()!r}")
@@ -91,19 +92,16 @@ def realize_eigenvalues(spec: SpectrumSpec, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Population covariance with cached inverse, square roots and norms.
+    """Diagonal population covariance with cached precision and norms.
 
-    ``eigenvalues`` are ascending; ``basis`` holds the orthonormal
-    eigenvectors as columns (identity by default so the matrix is diagonal).
+    The model is diagonal in the standard basis: ``eigenvalues`` are ascending
+    and ``sigma``/``precision`` are ``diag(eigenvalues)`` and its inverse.
     Immutable after construction.
     """
 
     eigenvalues: np.ndarray
-    basis: np.ndarray
     sigma: np.ndarray
     precision: np.ndarray
-    sqrt: np.ndarray
-    inv_sqrt: np.ndarray
     precision_frobenius_sq: float
     precision_trace_norm: float
 
@@ -112,35 +110,17 @@ class CovarianceModel:
         return self.eigenvalues.size
 
     @classmethod
-    def from_eigenvalues(cls, eigenvalues, basis: np.ndarray | None = None) -> "CovarianceModel":
+    def from_eigenvalues(cls, eigenvalues) -> "CovarianceModel":
         tau = np.sort(np.asarray(eigenvalues, dtype=float))
         if tau.size < 1:
             raise ValueError("need at least one eigenvalue")
         if np.any(tau <= 0.0) or not np.all(np.isfinite(tau)):
             raise ValueError("covariance eigenvalues must be finite and positive")
-        p = tau.size
-        if basis is None:
-            b = np.eye(p)
-        else:
-            b = np.asarray(basis, dtype=float)
-            if b.shape != (p, p):
-                raise ValueError(f"basis must be {p}x{p}, got {b.shape}")
-            if np.max(np.abs(b.T @ b - np.eye(p))) > ORTHONORMAL_TOL:
-                raise ValueError("basis is not orthonormal")
-        sigma = symmetrize((b * tau) @ b.T)
-        precision = symmetrize((b / tau) @ b.T)
-        sqrt_tau = np.sqrt(tau)
-        sqrt = symmetrize((b * sqrt_tau) @ b.T)
-        inv_sqrt = symmetrize((b / sqrt_tau) @ b.T)
-        if np.max(np.abs(sigma @ precision - np.eye(p))) > RECONSTRUCTION_TOL:
-            raise ValueError("covariance model inconsistent: sigma @ precision != I")
+        precision = np.diag(1.0 / tau)
         return cls(
             eigenvalues=tau,
-            basis=b,
-            sigma=sigma,
+            sigma=np.diag(tau),
             precision=precision,
-            sqrt=sqrt,
-            inv_sqrt=inv_sqrt,
             precision_frobenius_sq=frobenius_sq(precision),
             precision_trace_norm=float(np.trace(precision)),
         )
@@ -150,13 +130,11 @@ class CovarianceModel:
         return cls.from_eigenvalues(np.full(p, float(scale)))
 
 
-def build_covariance(
-    spec: SpectrumSpec, p: int, basis: np.ndarray | None = None
-) -> CovarianceModel:
-    """Realize a spectrum at dimension p as a covariance model.
+def build_covariance(spec: SpectrumSpec, p: int) -> CovarianceModel:
+    """Realize a spectrum at dimension p as a diagonal covariance model.
 
     Eigenvalue multiplicities follow largest-remainder apportionment of
     weight * p, so the empirical spectrum converges to the specified
     distribution as p grows.
     """
-    return CovarianceModel.from_eigenvalues(realize_eigenvalues(spec, p), basis)
+    return CovarianceModel.from_eigenvalues(realize_eigenvalues(spec, p))

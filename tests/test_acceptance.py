@@ -169,7 +169,7 @@ def test_criterion_07_oracle_grid_optimality():
         pseudo = instance % 2 == 1
         n = max(2, p // 2) if pseudo else 4 * p
         x = rng.standard_normal((p, n))
-        stats = sample_covariance(truth.sqrt @ x)
+        stats = sample_covariance(np.sqrt(truth.eigenvalues)[:, None] * x)
         a = rng.standard_normal((p, p))
         target = TargetMatrix.from_matrix(a @ a.T / p + np.eye(p))
         estimator = oracle_olse_gt1 if pseudo else oracle_olse_lt1

@@ -175,7 +175,8 @@ class TestWeightedDualTraceLimit:
         theta = truth.sigma
         ratio = 1.5
         y = weighted_dual_trace_limit(truth, theta, ratio)
-        congruence = truth.inv_sqrt @ theta @ truth.inv_sqrt
+        s = 1.0 / np.sqrt(truth.eigenvalues)
+        congruence = s[:, None] * theta * s[None, :]
         d = np.linalg.eigvalsh(congruence)
         rhs = ratio / truth.p * np.sum(1.0 / (d + y))
         assert abs(1.0 / y - rhs) < 1e-10
@@ -234,6 +235,22 @@ class TestPinvEquivalents:
         values = [draw_stats(truth, n, 304, r).inverse[0, 0] for r in range(reps)]
         limit = pinv_bilinear_limit(truth, e1, e1, ratio)
         assert abs(np.mean(values) - limit) / limit < 0.05
+
+    @pytest.mark.parametrize("p, ratio", [(60, 1.5), (200, 3.0)])
+    def test_match_dense_equivalent_matrix(self, p, ratio):
+        truth = build_covariance(THREE_BLOCK, p)
+        tau = truth.eigenvalues
+        x = dual_inverse_trace_limit(truth, ratio)
+        x_prime = dual_inverse_frobenius_limit(truth, ratio, x)
+        dense = np.diag(x_prime * tau / (x * tau + 1.0) ** 2)
+        rng = np.random.default_rng(p)
+        a = rng.standard_normal((p, p))
+        theta = a @ a.T / p + np.eye(p)
+        xi, eta = rng.standard_normal(p), rng.standard_normal(p)
+        assert pinv_weighted_trace_limit(truth, theta, ratio) == pytest.approx(
+            np.sum(dense * theta), rel=1e-14)
+        assert pinv_bilinear_limit(truth, xi, eta, ratio) == pytest.approx(
+            eta @ dense @ xi, rel=1e-14)
 
 
 class TestLimitWeightsLt1:

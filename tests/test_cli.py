@@ -111,6 +111,22 @@ seed: 1
         assert "duplicate estimator ids" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
 
+    def test_nan_ratio_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "nan.yaml"
+        config.write_text(
+            """
+spectrum: [{weight: 1.0, eigenvalue: 1.0}]
+ratio: .nan
+p_grid: [8]
+replications: 2
+seed: 1
+estimators: [sample_inv]
+"""
+        )
+        assert main(["simulate", str(config), "--out", str(tmp_path / "nan.csv")]) == 2
+        assert "ratio must be finite and positive, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "nan.csv").exists()
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text("spectrum: [{weight: 1.0}]\nratio: 0.5\n")
@@ -289,6 +305,12 @@ class TestLimits:
     def test_unknown_spectrum_exit_2(self, capsys):
         assert main(["limits", "--spectrum", "mystery", "--ratio", "0.5"]) == 2
         assert "mystery" in capsys.readouterr().err
+
+    def test_nan_weight_spectrum_file_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("- {weight: .nan, eigenvalue: 2.0}\n")
+        assert main(["limits", "--spectrum", str(spec), "--ratio", "2.0"]) == 2
+        assert "atom weights must lie in [0, 1]" in capsys.readouterr().err
 
     def test_spectrum_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"

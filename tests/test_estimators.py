@@ -22,6 +22,7 @@ from precshrink import (
     trace_precision_estimate,
 )
 from precshrink.estimators import optimal_weights_from_functionals
+from precshrink.linalg import symmetrize
 from precshrink.simulation import THREE_BLOCK
 
 
@@ -33,11 +34,16 @@ def diag_sample(values, n):
     return sample_covariance(y)
 
 
+def observe(truth, x):
+    """Y = sqrt(Sigma) X: row i of X scaled by sqrt(tau_i)."""
+    return np.sqrt(truth.eigenvalues)[:, None] * x
+
+
 def random_instance(rng, p, n, scale_spread=3.0):
     eigenvalues = rng.uniform(0.5, scale_spread, size=p)
     truth = CovarianceModel.from_eigenvalues(eigenvalues)
     x = rng.standard_normal((p, n))
-    stats = sample_covariance(truth.sqrt @ x)
+    stats = sample_covariance(observe(truth, x))
     return truth, stats
 
 
@@ -195,7 +201,7 @@ class TestConsistentFunctionals:
         rng = np.random.default_rng(9)
         values = []
         for _ in range(reps):
-            stats = sample_covariance(truth.sqrt @ rng.standard_normal((p, n)))
+            stats = sample_covariance(observe(truth, rng.standard_normal((p, n))))
             values.append(trace_precision_estimate(stats, theta))
         assert abs(np.mean(values) - 1.0) < 0.03
 
@@ -221,7 +227,7 @@ class TestConsistentFunctionals:
         rng = np.random.default_rng(11)
         values = []
         for _ in range(reps):
-            stats = sample_covariance(truth.sqrt @ rng.standard_normal((p, n)))
+            stats = sample_covariance(observe(truth, rng.standard_normal((p, n))))
             values.append(precision_frobenius_estimate(stats))
         assert abs(np.mean(values) - 1.0) < 0.05
 
@@ -239,7 +245,7 @@ class TestBonaFideOlse:
         truth = build_covariance(THREE_BLOCK, 30)
         target = TargetMatrix.identity_over_p(30)
         for _ in range(50):
-            stats = sample_covariance(truth.sqrt @ rng.standard_normal((30, 90)))
+            stats = sample_covariance(observe(truth, rng.standard_normal((30, 90))))
             estimate = bona_fide_olse(stats, target)
             assert 0.0 < estimate.weights.alpha < 1.0 - stats.ratio
             assert estimate.weights.beta > 0.0
@@ -247,7 +253,7 @@ class TestBonaFideOlse:
     def test_scale_invariance(self):
         rng = np.random.default_rng(13)
         truth = build_covariance(THREE_BLOCK, 20)
-        stats = sample_covariance(truth.sqrt @ rng.standard_normal((20, 60)))
+        stats = sample_covariance(observe(truth, rng.standard_normal((20, 60))))
         base = bona_fide_olse(stats, TargetMatrix.identity_over_p(20)).matrix
         for scale in (0.1, 7.0):
             scaled_target = TargetMatrix.from_matrix(scale * np.eye(20) / 20.0)
@@ -263,7 +269,7 @@ class TestBonaFideOlse:
         rng = np.random.default_rng(14)
         errs = []
         for _ in range(10):
-            stats = sample_covariance(truth.sqrt @ rng.standard_normal((p, n)))
+            stats = sample_covariance(observe(truth, rng.standard_normal((p, n))))
             estimate = bona_fide_olse(stats, target)
             errs.append(
                 np.linalg.norm(estimate.matrix - np.eye(p) / sigma) / np.linalg.norm(np.eye(p) / sigma)
@@ -291,7 +297,7 @@ class TestBonaFideOlse:
     def test_near_singular_band_rejected(self):
         rng = np.random.default_rng(16)
         truth = CovarianceModel.isotropic(48, 1.0)
-        stats = sample_covariance(truth.sqrt @ rng.standard_normal((48, 50)))
+        stats = sample_covariance(observe(truth, rng.standard_normal((48, 50))))
         with pytest.raises(NearSingularRegimeError):
             bona_fide_olse(stats, TargetMatrix.identity_over_p(48))
 
@@ -345,7 +351,7 @@ class TestIsotropicPrecisionEstimate:
         rng = np.random.default_rng(19)
         values = []
         for _ in range(100):
-            stats = sample_covariance(truth.sqrt @ rng.standard_normal((p, n)))
+            stats = sample_covariance(observe(truth, rng.standard_normal((p, n))))
             values.append(estimate_isotropic_precision(stats))
         assert abs(np.mean(values) - 1.0 / sigma) / (1.0 / sigma) < 0.05
 
@@ -414,6 +420,16 @@ class TestOracleEquivariant:
         estimate = oracle_equivariant(stats, truth)
         assert estimate.matrix.shape == (6, 6)
         assert estimate.weights is None
+
+    @pytest.mark.parametrize("p, n", [(60, 180), (60, 40), (121, 300)])
+    def test_matches_dense_precision_product(self, p, n):
+        rng = np.random.default_rng(p + n)
+        truth, stats = random_instance(rng, p, n)
+        u = stats.eigenvectors
+        dense = np.diag(1.0 / truth.eigenvalues)
+        rotated_diag = np.einsum("ij,ij->j", u, dense @ u)
+        expected = symmetrize((u * rotated_diag) @ u.T)
+        np.testing.assert_array_equal(oracle_equivariant(stats, truth).matrix, expected)
 
 
 class TestWeightHelper:

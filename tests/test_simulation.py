@@ -57,6 +57,11 @@ class TestDistributionSpec:
         spec = DistributionSpec("student_t", degrees_of_freedom=3.0, allow_low_df=True)
         assert spec.degrees_of_freedom == 3.0
 
+    @pytest.mark.parametrize("df", [float("nan"), float("inf")])
+    def test_non_finite_df_rejected(self, df):
+        with pytest.raises(ValueError, match="degrees_of_freedom must be finite"):
+            DistributionSpec("student_t", degrees_of_freedom=df, allow_low_df=True)
+
     def test_labels(self):
         assert DistributionSpec("gaussian").label == "gaussian"
         assert DistributionSpec("student_t", degrees_of_freedom=10.0).label == "student_t(df=10)"
@@ -93,6 +98,21 @@ class TestGenerateData:
         data = generate_data(truth, 1_000_000, dist, replication_rng(2, 1, 0))
         variance = float(np.var(data.values))
         assert 0.99 <= variance <= 1.01
+
+    @pytest.mark.parametrize("p", [1, 7, 60, 180])
+    @pytest.mark.parametrize("dist", [DistributionSpec("gaussian"),
+                                      DistributionSpec("student_t", degrees_of_freedom=6.0)])
+    def test_matches_dense_square_root(self, p, dist):
+        truth = build_covariance(THREE_BLOCK, p)
+        n = 2 * p + 1
+        rng = replication_rng(5, p, 2)
+        if dist.kind == "gaussian":
+            x = rng.standard_normal((p, n))
+        else:
+            df = dist.degrees_of_freedom
+            x = rng.standard_t(df, size=(p, n)) * np.sqrt((df - 2.0) / df)
+        data = generate_data(truth, n, dist, replication_rng(5, p, 2))
+        np.testing.assert_array_equal(data.values, np.diag(np.sqrt(truth.eigenvalues)) @ x)
 
     def test_shape(self):
         truth = build_covariance(THREE_BLOCK, 5)
@@ -237,6 +257,11 @@ class TestConfigValidation:
     def test_sample_size_floor(self):
         with pytest.raises(ValueError, match="n < 2"):
             small_config(p_grid=(1,), ratio=1.0)
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be finite and positive"):
+            small_config(ratio=ratio)
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError, match="unknown estimator"):
