@@ -9,11 +9,12 @@ both regimes are assembled from these.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .estimators import (
     PROVENANCE_LIMIT,
     REGIME_GT1,
@@ -22,15 +23,12 @@ from .estimators import (
     TargetMatrix,
     optimal_weights_from_functionals,
 )
-from .linalg import is_symmetric, trace_product
+from .linalg import trace_product
 from .spectral import CovarianceModel, SpectrumSpec, spectral_moments
 
-FIXED_POINT_DAMPING = 0.5
-FIXED_POINT_TOL = 1e-14
-FIXED_POINT_MAX_ITER = 10_000
-NEWTON_MAX_STEPS = 8
+ROOT_TOL = 1e-14
+ROOT_MAX_ITER = 200
 RESIDUAL_TOL = 1e-10
-BISECTION_BRACKET = (1e-12, 1e12)
 
 
 @dataclass(frozen=True)
@@ -70,69 +68,35 @@ def _self_consistent_rhs(x: float, d: np.ndarray, ratio: float, p: int) -> float
 def _solve_self_consistent(d: np.ndarray, ratio: float, p: int) -> RootInfo:
     """Solve 1/x = (ratio/p) * tr[(D + x I)^{-1}] for x > 0, D = diag(d) > 0.
 
-    Damped fixed-point iteration on x <- p / (ratio * tr[(D + x I)^{-1}]),
-    polished with Newton steps on the residual; a bracketing bisection covers
-    the rare case where the fixed point fails to settle.
+    Newton's method on h(x) = 1 - (ratio/p) * sum(x / (d + x)). h falls
+    convexly from h(0) = 1 towards 1 - ratio < 0, so its single root lies in
+    [min(d), max(d)] / (ratio - 1), and Newton steps from the lower end rise
+    monotonically to it. The bracket shrinks with the sign of h; a step that
+    rounding pushes out of it bisects instead. h is summed exactly, so the
+    root is limited by the rounding of the terms rather than of their sum.
     """
-
-    def residual(x: float) -> float:
-        return 1.0 / x - _self_consistent_rhs(x, d, ratio, p)
-
-    def residual_slope(x: float) -> float:
-        return -1.0 / x**2 + ratio / p * float(np.sum(1.0 / (d + x) ** 2))
-
-    x = float(np.mean(d)) / (ratio - 1.0)  # exact when all d equal
-    iterations = 0
-    method = "fixed_point"
-    converged = False
-    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
-        proposal = 1.0 / _self_consistent_rhs(x, d, ratio, p)
-        x_next = (1.0 - FIXED_POINT_DAMPING) * x + FIXED_POINT_DAMPING * proposal
-        if abs(x_next - x) <= FIXED_POINT_TOL * max(abs(x_next), 1e-300):
-            x = x_next
-            converged = True
-            break
-        x = x_next
-    if not converged:
-        x = _bisect(residual)
-        method = "bisection"
-    # Newton polish pushes the root to machine precision.
-    for _ in range(NEWTON_MAX_STEPS):
-        g = residual(x)
-        if g == 0.0:
-            break
-        slope = residual_slope(x)
-        if slope == 0.0:
-            break
-        step = g / slope
-        x_new = x - step
-        if x_new <= 0.0:
-            x_new = x / 2.0
-        if abs(x_new - x) <= 1e-17 * abs(x):
-            x = x_new
-            break
-        x = x_new
-    final_residual = abs(residual(x))
-    if not np.isfinite(x) or x <= 0.0 or final_residual > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"fixed-point solver failed: x={x!r}, residual={final_residual:.3e}"
-        )
-    return RootInfo(value=x, iterations=iterations, residual=final_residual, method=method)
-
-
-def _bisect(residual, bracket=BISECTION_BRACKET, max_iter=200) -> float:
-    lo, hi = bracket
-    if residual(lo) <= 0.0 or residual(hi) >= 0.0:
-        raise ConvergenceError("bisection bracket does not enclose a sign change")
-    for _ in range(max_iter):
-        mid = np.sqrt(lo * hi) if hi / lo > 1e6 else 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
+    scale = ratio / p
+    lo, hi = float(np.min(d)) / (ratio - 1.0), float(np.max(d)) / (ratio - 1.0)
+    x = lo
+    method = "newton"
+    for iterations in range(1, ROOT_MAX_ITER + 1):
+        inverse = 1.0 / (d + x)
+        h = 1.0 - scale * math.fsum(x * inverse)
+        if h > 0.0:
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
+            hi = x
+        step = h / (scale * float(np.sum(d * inverse * inverse)))
+        x += step
+        if abs(step) <= ROOT_TOL * x or hi - lo <= ROOT_TOL * x:
             break
-    return 0.5 * (lo + hi)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            method = "bisection"
+    residual = abs(1.0 / x - _self_consistent_rhs(x, d, ratio, p)) if x > 0.0 else np.inf
+    if not residual <= RESIDUAL_TOL:  # NaN fails too
+        raise ConvergenceError(f"root solver failed: x={x!r}, residual={residual:.3e}")
+    return RootInfo(value=x, iterations=iterations, residual=residual, method=method)
 
 
 def _require_gt1(ratio: float, op: str) -> None:
@@ -185,23 +149,23 @@ def dual_inverse_frobenius_limit(
         x = float(trace_limit)
         if abs(1.0 / x - _self_consistent_rhs(x, d, ratio, p)) > 1e-8:
             raise ValueError("trace_limit does not solve its defining equation")
+    if not np.finfo(float).tiny <= x * x < np.inf:
+        raise NumericError(f"dual trace root x={x!r} has no representable square")
     denominator = 1.0 / x**2 - ratio / p * float(np.sum(1.0 / (d + x) ** 2))
     if denominator <= 0.0:
         raise ValueError("inconsistent input: nonpositive curvature denominator")
     return 1.0 / denominator
 
 
-def _weighted_dual_info(truth: CovarianceModel, theta: np.ndarray, ratio: float) -> RootInfo:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (truth.p, truth.p):
-        raise ValueError(f"theta must be {truth.p}x{truth.p}, got {theta.shape}")
-    if not is_symmetric(theta):
-        raise ValueError("theta must be symmetric")
-    s = 1.0 / np.sqrt(truth.eigenvalues)
-    congruence = s[:, None] * theta * s[None, :]
-    d = np.linalg.eigvalsh((congruence + congruence.T) / 2.0)
-    if d[0] <= 0.0:
-        raise ValueError("theta must be positive definite")
+def _weighted_dual_info(truth: CovarianceModel, target: TargetMatrix, ratio: float) -> RootInfo:
+    if target.matrix.shape != (truth.p, truth.p):
+        raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.matrix.shape}")
+    if target.diagonal is not None:
+        d = np.sort(target.diagonal / truth.eigenvalues)
+    else:
+        s = 1.0 / np.sqrt(truth.eigenvalues)
+        congruence = s[:, None] * target.matrix * s[None, :]
+        d = np.linalg.eigvalsh((congruence + congruence.T) / 2.0)
     return _solve_self_consistent(d, ratio, truth.p)
 
 
@@ -209,14 +173,15 @@ def weighted_dual_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: 
     """Root y of the theta-weighted self-consistent equation, ratio > 1.
 
     theta enters through the symmetric congruence with the inverse square
-    root of Sigma, which scales row and column i by 1/sqrt(tau_i). For an
-    isotropic population with theta proportional to Sigma this reproduces
-    the classical pseudo-inverse trace limits; for general pairs the exact
+    root of Sigma, which scales row and column i by 1/sqrt(tau_i); for a
+    diagonal theta its eigenvalues are theta_ii / tau_i. For an isotropic
+    population with theta proportional to Sigma this reproduces the
+    classical pseudo-inverse trace limits; for general pairs the exact
     equivalent of tr(theta @ pinv(S)) is :func:`pinv_weighted_trace_limit`
     instead.
     """
     _require_gt1(ratio, "weighted_dual_trace_limit")
-    return _weighted_dual_info(truth, theta, ratio).value
+    return _weighted_dual_info(truth, TargetMatrix.from_matrix(theta), ratio).value
 
 
 def _dual_roots(truth: CovarianceModel, ratio: float) -> tuple[float, float]:
@@ -356,7 +321,7 @@ def compute_limit_functionals(
     x_prime = dual_inverse_frobenius_limit(truth, ratio, trace_info.value)
     target_dual = alpha = beta = None
     if target is not None:
-        target_info = _weighted_dual_info(truth, target.matrix, ratio)
+        target_info = _weighted_dual_info(truth, target, ratio)
         target_dual = target_info.value
         residuals["target_dual_trace"] = target_info.residual
         iterations["target_dual_trace"] = target_info.iterations

@@ -38,16 +38,12 @@ def _resolve_config(args) -> ExperimentConfig:
     builtins = builtin_experiments()
     if args.config in builtins:
         config = builtins[args.config]
-        return with_overrides(
-            config,
-            replications=args.reps,
-            seed=args.seed,
-            p_grid=_parse_p_grid(args.p_grid) if args.p_grid else None,
-        )
-    config = configio.load_experiment_config(args.config, seed_override=args.seed)
+    else:
+        config = configio.load_experiment_config(args.config, seed_override=args.seed)
     return with_overrides(
         config,
         replications=args.reps,
+        seed=args.seed,
         p_grid=_parse_p_grid(args.p_grid) if args.p_grid else None,
     )
 

@@ -30,22 +30,6 @@ BUILTIN_SPECTRA = {
     **PRIOR_SPECTRA,
 }
 
-RESULT_FIELDS = (
-    "experiment",
-    "p",
-    "n",
-    "ratio",
-    "distribution",
-    "estimator_id",
-    "mean_loss",
-    "prial_percent",
-    "mean_alpha",
-    "mean_beta",
-    "replications",
-    "seed",
-    "status",
-)
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -62,6 +46,9 @@ class ResultRow:
     replications: int
     seed: int
     status: str = "ok"
+
+
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 def parse_spectrum(obj) -> SpectrumSpec:

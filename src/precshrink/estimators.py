@@ -61,30 +61,43 @@ class ShrinkageWeights:
 
 @dataclass(frozen=True)
 class TargetMatrix:
-    """Symmetric positive definite shrinkage target with cached norms."""
+    """Symmetric positive definite shrinkage target with cached norms.
+
+    ``diagonal`` holds the diagonal of a target whose off-diagonal entries
+    are all exactly zero, and is None for a general dense target.
+    """
 
     matrix: np.ndarray
     frobenius_sq: float
     trace_norm: float
     name: str = ""
+    diagonal: np.ndarray | None = None
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, name: str = "") -> "TargetMatrix":
         m = np.array(matrix, dtype=float, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"target must be a square matrix, got shape {m.shape}")
-        if not is_symmetric(m, tol=1e-12):
-            raise ValueError("target matrix must be symmetric (within 1e-12)")
-        eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues[0] <= 0.0:
+        if not np.all(np.isfinite(m)):
+            raise ValueError("target matrix must be finite")
+        diagonal = np.diagonal(m)
+        if np.count_nonzero(m) == np.count_nonzero(diagonal):  # off-diagonal all zero
+            smallest = np.min(diagonal)
+        else:
+            diagonal = None
+            if not is_symmetric(m, tol=1e-12):
+                raise ValueError("target matrix must be symmetric (within 1e-12)")
+            smallest = np.linalg.eigvalsh(m)[0]
+        if smallest <= 0.0:
             raise ValueError(
-                f"target matrix must be positive definite (min eigenvalue {eigenvalues[0]:.3e})"
+                f"target matrix must be positive definite (min eigenvalue {smallest:.3e})"
             )
         return cls(
             matrix=m,
             frobenius_sq=frobenius_sq(m),
             trace_norm=float(np.trace(m)),
             name=name,
+            diagonal=diagonal,
         )
 
     @classmethod

@@ -12,6 +12,9 @@ import numpy as np
 from .linalg import frobenius_sq
 
 WEIGHT_SUM_TOL = 1e-12
+# Eigenvalues must exceed this, the largest float whose squared reciprocal
+# overflows: precision norms and inverse spectral moments sum 1 / tau^2.
+RECIPROCAL_FLOOR = np.finfo(float).max ** -0.5
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,7 @@ class SpectrumSpec:
             raise ValueError(f"atom weights must sum to 1, got {weights.sum()!r}")
         if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("atom eigenvalues must be finite and strictly positive")
+        _require_finite_reciprocal(values, "atom")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -58,6 +62,14 @@ class SpectrumSpec:
     @classmethod
     def isotropic(cls, scale: float) -> "SpectrumSpec":
         return cls(((1.0, float(scale)),))
+
+
+def _require_finite_reciprocal(values: np.ndarray, what: str) -> None:
+    tiny = values[values <= RECIPROCAL_FLOOR]
+    if tiny.size:
+        raise ValueError(
+            f"{what} eigenvalue {float(tiny[0])!r} is too small: its squared reciprocal overflows"
+        )
 
 
 def spectral_moments(spec: SpectrumSpec) -> tuple[float, float]:
@@ -116,6 +128,7 @@ class CovarianceModel:
             raise ValueError("need at least one eigenvalue")
         if np.any(tau <= 0.0) or not np.all(np.isfinite(tau)):
             raise ValueError("covariance eigenvalues must be finite and positive")
+        _require_finite_reciprocal(tau, "covariance")
         precision = np.diag(1.0 / tau)
         return cls(
             eigenvalues=tau,

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from precshrink import (
     CovarianceModel,
@@ -24,6 +27,8 @@ from precshrink import (
 )
 from precshrink import asymptotics
 from precshrink.asymptotics import pinv_bilinear_limit, pinv_weighted_trace_limit
+from precshrink.configio import BUILTIN_SPECTRA
+from precshrink.errors import NumericError
 from precshrink.simulation import THREE_BLOCK
 
 GAUSSIAN = DistributionSpec("gaussian")
@@ -109,6 +114,50 @@ class TestDualTraceLimit:
             dual_inverse_trace_limit(truth, 0.8)
 
 
+def brentq_root(d, ratio):
+    """Reference root of h(x) = 1 - (ratio/p) sum(x / (d + x)) by Brent's method."""
+    p = d.size
+
+    def h(x):
+        return 1.0 - ratio / p * np.sum(x / (d + x))
+
+    lo, hi = 0.5 * np.min(d) / (ratio - 1.0), 2.0 * np.max(d) / (ratio - 1.0)
+    return brentq(h, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+
+
+class TestSelfConsistentSolver:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        log_d=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=300),
+        ratio=st.floats(1.001, 50.0),
+    )
+    def test_matches_brentq(self, log_d, ratio):
+        d = np.exp(np.array(log_d))
+        info = asymptotics._solve_self_consistent(d, ratio, d.size)
+        assert info.value == pytest.approx(brentq_root(d, ratio), rel=1e-12)
+        assert info.iterations <= 50
+        assert info.residual <= asymptotics.RESIDUAL_TOL
+
+    def test_equal_values_solved_in_one_step(self):
+        info = asymptotics._solve_self_consistent(np.full(7, 2.0), 3.0, 7)
+        assert info.value == pytest.approx(1.0, rel=1e-15)
+        assert (info.iterations, info.method) == (1, "newton")
+
+    def test_two_values_closed_form(self):
+        # With p = 2 and ratio 2 the equation reads x^2 = d1 d2.
+        info = asymptotics._solve_self_consistent(np.array([1e-3, 1.0]), 2.0, 2)
+        assert info.value == pytest.approx(np.sqrt(1e-3), rel=1e-15)
+        assert info.method == "newton"
+
+    def test_safeguard_bisects(self):
+        # Near the root of this spread spectrum, rounding in h pushes a Newton
+        # step out of the bracket, and the safeguard bisects instead.
+        d = np.geomspace(1.0, 10.0, 10)
+        info = asymptotics._solve_self_consistent(d, 1.02, 10)
+        assert info.method == "bisection"
+        assert info.value == pytest.approx(brentq_root(d, 1.02), rel=1e-12)
+
+
 class TestDualFrobeniusLimit:
     def test_isotropic_closed_form(self):
         truth = CovarianceModel.isotropic(20, 1.0)
@@ -128,6 +177,12 @@ class TestDualFrobeniusLimit:
         truth = CovarianceModel.isotropic(20, 1.0)
         with pytest.raises(ValueError, match="defining equation"):
             dual_inverse_frobenius_limit(truth, 2.0, 17.0)
+
+    def test_root_without_representable_square_is_numeric_failure(self):
+        # x = 1e-200 solves the equation, and x^2 underflows.
+        truth = CovarianceModel.isotropic(10, 1e200)
+        with pytest.raises(NumericError, match="square"):
+            dual_inverse_frobenius_limit(truth, 2.0)
 
     def test_matches_monte_carlo(self):
         p, ratio, reps = 200, 1.5, 100
@@ -180,6 +235,25 @@ class TestWeightedDualTraceLimit:
         d = np.linalg.eigvalsh(congruence)
         rhs = ratio / truth.p * np.sum(1.0 / (d + y))
         assert abs(1.0 / y - rhs) < 1e-10
+
+    @pytest.mark.parametrize("p", [30, 300])
+    @pytest.mark.parametrize("ratio", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", ["identity", "inverse_of_prior2", "true_precision"])
+    def test_diagonal_target_matches_congruence_eigenvalues(self, p, ratio, kind):
+        truth = build_covariance(THREE_BLOCK, p)
+        target = {
+            "identity": lambda: TargetMatrix.identity_over_p(p),
+            "inverse_of_prior2": lambda: TargetMatrix.inverse_of_spectrum(
+                BUILTIN_SPECTRA["prior2"], p),
+            "true_precision": lambda: TargetMatrix.from_matrix(truth.precision),
+        }[kind]()
+        assert target.diagonal is not None
+        s = 1.0 / np.sqrt(truth.eigenvalues)
+        congruence = s[:, None] * target.matrix * s[None, :]
+        d = np.linalg.eigvalsh(congruence)
+        expected = asymptotics._solve_self_consistent(d, ratio, p).value
+        value = compute_limit_functionals(truth, ratio, target=target).target_dual_trace
+        assert value == pytest.approx(expected, rel=1e-14)
 
 
 class TestRankOneLimit:

@@ -51,6 +51,14 @@ class TestSimulate:
         write_results(str(rewritten), rows)
         assert out.read_bytes() == rewritten.read_bytes()
 
+    def test_result_header(self, tmp_path):
+        out = tmp_path / "results.csv"
+        main(["simulate", "fig1", "--reps", "2", "--p-grid", "12", "--seed", "7",
+              "--out", str(out)])
+        assert out.read_text().splitlines()[0] == (
+            "experiment,p,n,ratio,distribution,estimator_id,mean_loss,prial_percent,"
+            "mean_alpha,mean_beta,replications,seed,status")
+
     def test_unknown_config_exits_2(self, capsys):
         assert main(["simulate", "no_such_config", "--seed", "1"]) == 2
 
@@ -311,6 +319,36 @@ class TestLimits:
         spec.write_text("- {weight: .nan, eigenvalue: 2.0}\n")
         assert main(["limits", "--spectrum", str(spec), "--ratio", "2.0"]) == 2
         assert "atom weights must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e-310", "1e-160"])
+    @pytest.mark.parametrize("ratio", ["0.5", "1.5"])
+    def test_tiny_eigenvalue_exit_2(self, tmp_path, capsys, value, ratio):
+        spec = tmp_path / "tiny.yaml"
+        spec.write_text(f"- {{weight: 0.5, eigenvalue: {value}}}\n"
+                        "- {weight: 0.5, eigenvalue: 1.0}\n")
+        for argv in (["--spectrum", str(spec)],
+                     ["--spectrum", "identity", "--target", f"inverse-of:{spec}"]):
+            assert main(["limits", "--ratio", ratio, *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"eigenvalue {value}" in err
+
+    def test_huge_ratio_is_numeric_failure(self, capsys):
+        assert main(["limits", "--spectrum", "threeblock", "--ratio", "1e300", "--p", "10"]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+
+    def test_ratio_just_above_one(self, capsys):
+        assert main(["limits", "--spectrum", "threeblock", "--ratio", "1.0000001",
+                     "--p", "10"]) == 0
+        assert "dual_trace_limit=" in capsys.readouterr().out
+
+    def test_diagonal_target_needs_no_eigensolve(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert main(["limits", "--spectrum", "threeblock", "--ratio", "1.5", "--p", "300",
+                     "--target", "inverse-of:prior2"]) == 0
+        assert "target_dual_trace_limit=" in capsys.readouterr().out
 
     def test_spectrum_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"

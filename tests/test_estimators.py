@@ -76,6 +76,40 @@ class TestTargetMatrix:
         with pytest.raises(ValueError, match="positive definite"):
             TargetMatrix.from_matrix(np.diag([1.0, -1.0]))
 
+    def test_rejects_singular_diagonal(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            TargetMatrix.from_matrix(np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        for index in ((0, 0), (0, 1)):
+            m = np.eye(2)
+            m[index] = bad
+            with pytest.raises(ValueError, match="target matrix must be finite"):
+                TargetMatrix.from_matrix(m)
+
+    def test_diagonal_set_exactly_when_off_diagonal_zero(self):
+        m = np.diag([3.0, 1.0, 2.0])
+        target = TargetMatrix.from_matrix(m)
+        np.testing.assert_array_equal(target.diagonal, [3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(target.matrix, m)
+        assert TargetMatrix.from_matrix(np.where(m == 0.0, -0.0, m)).diagonal is not None
+        m[0, 2] = m[2, 0] = 1e-300
+        assert TargetMatrix.from_matrix(m).diagonal is None
+        assert random_target(np.random.default_rng(0), 6).diagonal is None
+
+    def test_builtin_targets_are_diagonal(self):
+        truth = build_covariance(THREE_BLOCK, 10)
+        for target in (
+            TargetMatrix.identity_over_p(10),
+            TargetMatrix.from_spectrum(THREE_BLOCK, 10),
+            TargetMatrix.inverse_of_spectrum(THREE_BLOCK, 10),
+            TargetMatrix.from_matrix(truth.precision),
+        ):
+            np.testing.assert_array_equal(target.diagonal, np.diagonal(target.matrix))
+            assert target.frobenius_sq == np.sum(target.matrix * target.matrix)
+            assert target.trace_norm == np.trace(target.matrix)
+
     def test_identity_over_p(self):
         target = TargetMatrix.identity_over_p(4)
         assert target.frobenius_sq == pytest.approx(0.25)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from precshrink import CovarianceModel, SpectrumSpec, build_covariance, spectral_moments
-from precshrink.spectral import apportion_counts, realize_eigenvalues
+from precshrink.spectral import RECIPROCAL_FLOOR, apportion_counts, realize_eigenvalues
 
 THREE_BLOCK = SpectrumSpec(((0.2, 1.0), (0.4, 3.0), (0.4, 10.0)))
 
@@ -23,6 +23,14 @@ class TestSpectrumSpec:
             SpectrumSpec(((1.0, 0.0),))
         with pytest.raises(ValueError, match="strictly positive"):
             SpectrumSpec(((0.5, 1.0), (0.5, -2.0)))
+
+    def test_eigenvalue_reciprocal_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"eigenvalue 1e-310 is too small"):
+            SpectrumSpec(((0.5, 1.0), (0.5, 1e-310)))
+        with pytest.raises(ValueError, match=r"eigenvalue 1e-160 is too small"):
+            SpectrumSpec(((1.0, 1e-160),))
+        smallest = np.nextafter(RECIPROCAL_FLOOR, 1.0)
+        assert np.isfinite(1.0 / SpectrumSpec(((1.0, smallest),)).values[0] ** 2)
 
     def test_weight_range(self):
         with pytest.raises(ValueError, match="weights"):
@@ -127,6 +135,12 @@ class TestBuildCovariance:
     def test_realize_requires_positive_dimension(self):
         with pytest.raises(ValueError, match=">= 1"):
             realize_eigenvalues(THREE_BLOCK, 0)
+
+    def test_eigenvalue_reciprocal_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"covariance eigenvalue 1e-310 is too small"):
+            CovarianceModel.from_eigenvalues([1.0, 1e-310])
+        with pytest.raises(ValueError, match="too small"):
+            CovarianceModel.from_eigenvalues([RECIPROCAL_FLOOR])
 
     def test_isotropic_constructor(self):
         model = CovarianceModel.isotropic(4, 2.0)
