@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NumericError
-from .estimators import (
-    PROVENANCE_LIMIT,
-    REGIME_GT1,
-    REGIME_LT1,
-    ShrinkageWeights,
-    TargetMatrix,
-    optimal_weights_from_functionals,
-)
+from .estimators import ShrinkageWeights, TargetMatrix, optimal_weights_from_functionals
 from .linalg import trace_product
 from .spectral import CovarianceModel, SpectrumSpec, spectral_moments
 
@@ -253,7 +246,7 @@ def limit_weights_lt1(
     alpha, beta = optimal_weights_from_functionals(
         inv_truth_eq, b, inv_target_eq, inv_frobenius_eq, target.frobenius_sq
     )
-    return ShrinkageWeights(alpha, beta, REGIME_LT1, PROVENANCE_LIMIT)
+    return ShrinkageWeights(alpha, beta)
 
 
 def limit_weights_gt1(
@@ -282,7 +275,7 @@ def _limit_weights_gt1(
     alpha, beta = optimal_weights_from_functionals(
         inv_truth_eq, b, inv_target_eq, inv_frobenius_eq, target.frobenius_sq
     )
-    return ShrinkageWeights(alpha, beta, REGIME_GT1, PROVENANCE_LIMIT)
+    return ShrinkageWeights(alpha, beta)
 
 
 def compute_limit_functionals(

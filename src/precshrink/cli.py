@@ -179,10 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--center", action="store_true", help="subtract variable means")
     est.add_argument("--clamp", action="store_true",
                      help="project the shrinkage weight onto its support")
-    est.add_argument("--identity-case", action="store_true",
-                     help="p >= n: assume an isotropic population covariance")
-    est.add_argument("--pseudo-inverse", action="store_true",
-                     help="p >= n: emit the raw pseudo-inverse")
+    pseudo = est.add_mutually_exclusive_group()
+    pseudo.add_argument("--identity-case", action="store_true",
+                        help="p >= n: assume an isotropic population covariance")
+    pseudo.add_argument("--pseudo-inverse", action="store_true",
+                        help="p >= n: emit the raw pseudo-inverse")
     est.add_argument("--out", default=None, help="output CSV path")
     est.set_defaults(func=cmd_estimate)
 

@@ -108,6 +108,13 @@ def _parse_target(obj) -> TargetSpec:
     raise ConfigError(f"cannot parse target entry {obj!r}")
 
 
+def _typed(value, name: str, kind: type, what: str):
+    """Return a config value unchanged if it is a ``kind``; a bool is no int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _parse_distribution(obj) -> DistributionSpec:
     if obj is None:
         return DistributionSpec(GAUSSIAN)
@@ -116,6 +123,7 @@ def _parse_distribution(obj) -> DistributionSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"distribution must be a mapping with a 'kind' key, got {obj!r}")
     kind = obj["kind"]
+    allow_low_df = _typed(obj.get("allow_low_df", False), "allow_low_df", bool, "true or false")
     try:
         if kind == GAUSSIAN:
             return DistributionSpec(GAUSSIAN)
@@ -123,7 +131,7 @@ def _parse_distribution(obj) -> DistributionSpec:
             return DistributionSpec(
                 STUDENT_T,
                 degrees_of_freedom=float(obj["df"]) if "df" in obj else None,
-                allow_low_df=bool(obj.get("allow_low_df", False)),
+                allow_low_df=allow_low_df,
             )
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid distribution {obj!r}: {exc}") from exc
@@ -142,21 +150,24 @@ def parse_experiment_config(
     seed = seed_override if seed_override is not None else payload.get("seed")
     if seed is None:
         raise ConfigError("config provides no seed; pass --seed")
+    payload = {"targets": [TARGET_IDENTITY], **payload}
+    lists = {name: _typed(payload[name], name, list, "a list")
+             for name in ("targets", "p_grid", "estimators")}
     try:
         return ExperimentConfig(
             name=str(payload.get("name", default_name)),
             spectrum=parse_spectrum(payload["spectrum"])
             if isinstance(payload["spectrum"], list)
             else load_spectrum(str(payload["spectrum"])),
-            targets=tuple(_parse_target(t) for t in payload.get("targets", [TARGET_IDENTITY])),
+            targets=tuple(_parse_target(t) for t in lists["targets"]),
             ratio=float(payload["ratio"]),
-            p_grid=tuple(int(p) for p in payload["p_grid"]),
+            p_grid=tuple(_typed(p, "p_grid entry", int, "an integer") for p in lists["p_grid"]),
             distribution=_parse_distribution(payload.get("distribution")),
-            replications=int(payload["replications"]),
-            seed=int(seed),
-            estimators=tuple(str(e) for e in payload["estimators"]),
-            clamp=bool(payload.get("clamp", False)),
-            center=bool(payload.get("center", False)),
+            replications=_typed(payload["replications"], "replications", int, "an integer"),
+            seed=_typed(seed, "seed", int, "an integer"),
+            estimators=tuple(str(e) for e in lists["estimators"]),
+            clamp=_typed(payload.get("clamp", False), "clamp", bool, "true or false"),
+            center=_typed(payload.get("center", False), "center", bool, "true or false"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

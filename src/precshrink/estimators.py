@@ -30,13 +30,6 @@ from .linalg import (
 )
 from .spectral import CovarianceModel, SpectrumSpec, realize_eigenvalues
 
-REGIME_LT1 = "c_lt_1"
-REGIME_GT1 = "c_gt_1"
-
-PROVENANCE_ORACLE = "oracle"
-PROVENANCE_BONA_FIDE = "bona_fide"
-PROVENANCE_LIMIT = "asymptotic_limit"
-
 # Stable estimator identifiers used by the CLI and result files.
 SAMPLE_INV = "sample_inv"
 SAMPLE_PINV = "sample_pinv"
@@ -51,12 +44,10 @@ DEGENERACY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ShrinkageWeights:
-    """A pair of shrinkage intensities with regime and provenance labels."""
+    """The shrinkage intensities of ``alpha * inv(S) + beta * T``."""
 
     alpha: float
     beta: float
-    regime: str
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,6 @@ class TargetMatrix:
 
     matrix: np.ndarray
     frobenius_sq: float
-    trace_norm: float
     name: str = ""
     diagonal: np.ndarray | None = None
 
@@ -85,7 +75,7 @@ class TargetMatrix:
             smallest = np.min(diagonal)
         else:
             diagonal = None
-            if not is_symmetric(m, tol=1e-12):
+            if not is_symmetric(m):
                 raise ValueError("target matrix must be symmetric (within 1e-12)")
             smallest = np.linalg.eigvalsh(m)[0]
         if smallest <= 0.0:
@@ -95,7 +85,6 @@ class TargetMatrix:
         return cls(
             matrix=m,
             frobenius_sq=frobenius_sq(m),
-            trace_norm=float(np.trace(m)),
             name=name,
             diagonal=diagonal,
         )
@@ -125,7 +114,6 @@ class PrecisionEstimate:
 
     matrix: np.ndarray
     weights: ShrinkageWeights | None
-    estimator_id: str
 
 
 @dataclass(frozen=True)
@@ -188,7 +176,7 @@ def optimal_weights_from_functionals(
 
 
 def _oracle_olse(
-    stats: SampleStats, truth: CovarianceModel, target: TargetMatrix, regime: str
+    stats: SampleStats, truth: CovarianceModel, target: TargetMatrix
 ) -> PrecisionEstimate:
     _check_dims(stats.p, truth.precision, "truth")
     _check_dims(stats.p, target.matrix, "target")
@@ -199,8 +187,7 @@ def _oracle_olse(
         a, b, c, stats.inverse_frobenius_sq, target.frobenius_sq
     )
     matrix = alpha * stats.inverse + beta * target.matrix
-    weights = ShrinkageWeights(alpha, beta, regime, PROVENANCE_ORACLE)
-    return PrecisionEstimate(matrix, weights, OLSE_PRECISION_ORACLE)
+    return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
 
 
 def oracle_olse_lt1(
@@ -214,7 +201,7 @@ def oracle_olse_lt1(
     the target equals the true precision.
     """
     _require_invertible(stats, "oracle_olse_lt1")
-    return _oracle_olse(stats, truth, target, REGIME_LT1)
+    return _oracle_olse(stats, truth, target)
 
 
 def oracle_olse_gt1(
@@ -223,7 +210,7 @@ def oracle_olse_gt1(
     """Oracle optimal linear shrinkage of the pseudo-inverse (p >= n)."""
     if stats.regime != REGIME_PSEUDO:
         raise RegimeError("oracle_olse_gt1 requires the pseudo-inverse regime (p >= n)")
-    return _oracle_olse(stats, truth, target, REGIME_GT1)
+    return _oracle_olse(stats, truth, target)
 
 
 def trace_precision_estimate(stats: SampleStats, theta: np.ndarray) -> float:
@@ -281,8 +268,7 @@ def bona_fide_olse(
         alpha = min(max(alpha, 0.0), slack)
     beta = (cross / g) * (slack - alpha)
     matrix = alpha * stats.inverse + beta * target.matrix
-    weights = ShrinkageWeights(alpha, beta, REGIME_LT1, PROVENANCE_BONA_FIDE)
-    return PrecisionEstimate(matrix, weights, OLSE_PRECISION)
+    return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
 
 
 def estimate_isotropic_precision(stats: SampleStats) -> float:
@@ -316,9 +302,7 @@ def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceE
     beta = (cross / g) * (1.0 - alpha)
     sigma_hat = alpha * s + beta * target_cov.matrix
     inverse = _symmetric_inverse(sigma_hat)
-    regime = REGIME_LT1 if stats.regime == REGIME_INVERTIBLE else REGIME_GT1
-    weights = ShrinkageWeights(alpha, beta, regime, PROVENANCE_BONA_FIDE)
-    return CovarianceEstimate(matrix=sigma_hat, inverse=inverse, weights=weights)
+    return CovarianceEstimate(sigma_hat, inverse, ShrinkageWeights(alpha, beta))
 
 
 def _symmetric_inverse(a: np.ndarray) -> np.ndarray:
@@ -347,4 +331,4 @@ def oracle_equivariant(stats: SampleStats, truth: CovarianceModel) -> PrecisionE
     u = stats.eigenvectors
     rotated_diag = np.einsum("ij,ij->j", u, (1.0 / truth.eigenvalues)[:, None] * u)
     matrix = symmetrize((u * rotated_diag) @ u.T)
-    return PrecisionEstimate(matrix, None, EV_ORACLE)
+    return PrecisionEstimate(matrix, None)

@@ -87,9 +87,9 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def is_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
+def is_symmetric(a: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    return bool(np.max(np.abs(a - a.T)) <= tol * scale)
+    return bool(np.max(np.abs(a - a.T)) <= SYMMETRY_TOL * scale)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

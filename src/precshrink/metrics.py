@@ -1,8 +1,7 @@
-"""Frobenius loss and PRIAL aggregation."""
+"""Frobenius loss, PRIAL and the per-grid-point report records."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,60 +55,3 @@ class PrialReport:
             if entry.estimator_id == estimator_id:
                 return entry
         raise KeyError(estimator_id)
-
-
-def summarize_replications(
-    p: int,
-    n: int,
-    ratio: float,
-    baseline_id: str,
-    order: list[str],
-    losses: dict[str, np.ndarray],
-    weights: dict[str, tuple[np.ndarray, np.ndarray]],
-    skipped: dict[str, str],
-) -> PrialReport:
-    """Reduce per-replication losses into a PrialReport.
-
-    ``order`` fixes the row order; skipped estimators get NaN numerics and a
-    reason. The aggregation is an ordered reduction, so results do not depend
-    on how the replication phase was parallelized.
-    """
-    if baseline_id not in losses:
-        raise ValueError(f"baseline estimator {baseline_id!r} was not evaluated")
-    baseline_mean = float(np.mean(losses[baseline_id]))
-    summaries = []
-    for estimator_id in order:
-        if estimator_id in skipped:
-            summaries.append(
-                EstimatorSummary(
-                    estimator_id=estimator_id,
-                    mean_loss=math.nan,
-                    prial_percent=math.nan,
-                    replications=0,
-                    mean_alpha=math.nan,
-                    mean_beta=math.nan,
-                    status="skipped",
-                    reason=skipped[estimator_id],
-                )
-            )
-            continue
-        loss_array = losses[estimator_id]
-        mean_loss = float(np.mean(loss_array))
-        if estimator_id in weights:
-            alphas, betas = weights[estimator_id]
-            mean_alpha = float(np.mean(alphas))
-            mean_beta = float(np.mean(betas))
-        else:
-            mean_alpha = math.nan
-            mean_beta = math.nan
-        summaries.append(
-            EstimatorSummary(
-                estimator_id=estimator_id,
-                mean_loss=mean_loss,
-                prial_percent=prial(mean_loss, baseline_mean),
-                replications=int(loss_array.size),
-                mean_alpha=mean_alpha,
-                mean_beta=mean_beta,
-            )
-        )
-    return PrialReport(p=p, n=n, ratio=ratio, baseline_id=baseline_id, summaries=tuple(summaries))

@@ -9,6 +9,7 @@ for any thread count.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +38,7 @@ from .linalg import (
     sample_covariance,
     use_single_threaded_blas,
 )
-from .metrics import PrialReport, frobenius_loss, summarize_replications
+from .metrics import EstimatorSummary, PrialReport, frobenius_loss, prial
 from .spectral import CovarianceModel, SpectrumSpec, build_covariance
 
 GAUSSIAN = "gaussian"
@@ -143,7 +144,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown estimator ids: {sorted(unknown)}")
         target_names = [spec.name for spec in self.targets]
-        for what, names in (("estimator ids", self.estimators), ("target names", target_names)):
+        for what, names in (("p values", self.p_grid), ("estimator ids", self.estimators),
+                            ("target names", target_names)):
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise ValueError(f"duplicate {what}: {repeated}")
@@ -260,8 +262,11 @@ _ESTIMATORS = {
 
 @dataclass(frozen=True)
 class _PlannedEstimator:
+    """One output row of a grid point; ``skip_reason`` is None when it runs."""
+
     row_id: str
     estimator: _Estimator
+    skip_reason: str | None
     precision_target: TargetMatrix | None = None
     covariance_target: TargetMatrix | None = None
 
@@ -273,7 +278,7 @@ def _resolve_targets(spec: TargetSpec, p: int, truth: CovarianceModel):
         return identity, identity
     if spec.kind == TARGET_TRUE_PRECISION:
         precision = TargetMatrix.from_matrix(truth.precision, name=spec.name)
-        covariance = TargetMatrix.from_matrix(truth.sigma, name=spec.name)
+        covariance = TargetMatrix.from_matrix(np.diag(truth.eigenvalues), name=spec.name)
         return precision, covariance
     precision = TargetMatrix.inverse_of_spectrum(spec.cov_spectrum, p, name=spec.name)
     covariance = TargetMatrix.from_spectrum(spec.cov_spectrum, p, name=spec.name)
@@ -281,39 +286,28 @@ def _resolve_targets(spec: TargetSpec, p: int, truth: CovarianceModel):
 
 
 def _plan_estimators(
-    config: ExperimentConfig, p: int, n: int, truth: CovarianceModel
-) -> tuple[list[_PlannedEstimator], dict[str, str], str, list[str]]:
-    """Expand estimator ids x targets into rows; decide static skips.
+    config: ExperimentConfig, p: int, n: int, truth: CovarianceModel, baseline_id: str
+) -> list[_PlannedEstimator]:
+    """Expand estimator ids x targets into rows, in output order.
 
-    Returns (runnable plan, skipped row reasons, baseline id, row order).
-    The baseline for the current regime is always evaluated, even when it is
-    not requested. Regime mismatches become skip reasons instead of errors,
-    so one bad estimator does not kill a whole run.
+    The baseline is always planned, first when it was not requested. Regime
+    mismatches become skip reasons instead of errors, so one bad estimator
+    does not kill a whole run.
     """
-    ratio = p / n
-    invertible = p < n
-    baseline_id = SAMPLE_INV if invertible else SAMPLE_PINV
     kinds = list(config.estimators)
     if baseline_id not in kinds:
         kinds.insert(0, baseline_id)
     resolved = [(spec, *_resolve_targets(spec, p, truth)) for spec in config.targets]
     plan: list[_PlannedEstimator] = []
-    skipped: dict[str, str] = {}
-    order: list[str] = []
     for kind in kinds:
         estimator = _ESTIMATORS[kind]
-        reason = estimator.skip_reason(ratio, invertible)
-        rows = [_PlannedEstimator(kind, estimator)]
+        reason = estimator.skip_reason(p / n, p < n)
         if estimator.needs_target:
-            rows = [_PlannedEstimator(f"{kind}[{spec.name}]", estimator, precision, covariance)
-                    for spec, precision, covariance in resolved]
-        for row in rows:
-            order.append(row.row_id)
-            if reason is None:
-                plan.append(row)
-            else:
-                skipped[row.row_id] = reason
-    return plan, skipped, baseline_id, order
+            plan += [_PlannedEstimator(f"{kind}[{spec.name}]", estimator, reason, *targets)
+                     for spec, *targets in resolved]
+        else:
+            plan.append(_PlannedEstimator(kind, estimator, reason))
+    return plan
 
 
 def usable_cpus() -> int:
@@ -339,7 +333,9 @@ def run_grid_point(
     use_single_threaded_blas()
     n = grid_sample_size(p, config.ratio)
     truth = build_covariance(config.spectrum, p)
-    plan, skipped, baseline_id, order = _plan_estimators(config, p, n, truth)
+    baseline_id = SAMPLE_INV if p < n else SAMPLE_PINV
+    plan = _plan_estimators(config, p, n, truth, baseline_id)
+    runnable = [row for row in plan if row.skip_reason is None]
 
     def one_replication(r: int) -> ReplicationResult:
         rng = replication_rng(config.seed, p, r)
@@ -347,7 +343,7 @@ def run_grid_point(
         stats = sample_covariance(data, center=config.center)
         losses: dict[str, float] = {}
         weights: dict[str, tuple[float, float]] = {}
-        for planned in plan:
+        for planned in runnable:
             loss, pair = planned.estimator.run(stats, truth, planned, config.clamp)
             losses[planned.row_id] = loss
             if pair is not None:
@@ -362,24 +358,25 @@ def run_grid_point(
     else:
         results = [one_replication(r) for r in indices]
 
-    losses = {row.row_id: np.array([res.losses[row.row_id] for res in results]) for row in plan}
-    weights = {}
+    # Ordered reductions over replications, so the thread count never matters.
+    def mean(values) -> float:
+        return float(np.mean(np.array(values)))
+
+    baseline_mean = mean([res.losses[baseline_id] for res in results])
+    summaries = []
     for row in plan:
+        if row.skip_reason is not None:
+            summaries.append(EstimatorSummary(row.row_id, math.nan, math.nan, 0, math.nan, math.nan,
+                                              status="skipped", reason=row.skip_reason))
+            continue
+        mean_loss = mean([res.losses[row.row_id] for res in results])
+        mean_alpha = mean_beta = math.nan
         if row.estimator.needs_target:
-            alphas = np.array([res.weights[row.row_id][0] for res in results])
-            betas = np.array([res.weights[row.row_id][1] for res in results])
-            weights[row.row_id] = (alphas, betas)
-    report = summarize_replications(
-        p=p,
-        n=n,
-        ratio=config.ratio,
-        baseline_id=baseline_id,
-        order=order,
-        losses=losses,
-        weights=weights,
-        skipped=skipped,
-    )
-    return report, results
+            mean_alpha = mean([res.weights[row.row_id][0] for res in results])
+            mean_beta = mean([res.weights[row.row_id][1] for res in results])
+        summaries.append(EstimatorSummary(row.row_id, mean_loss, prial(mean_loss, baseline_mean),
+                                          len(results), mean_alpha, mean_beta))
+    return PrialReport(p, n, config.ratio, baseline_id, tuple(summaries)), results
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[PrialReport]:

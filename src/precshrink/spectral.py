@@ -51,10 +51,6 @@ class SpectrumSpec:
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.atoms])
 
-    def inverted(self) -> "SpectrumSpec":
-        """Spectrum of the inverse matrix: same weights, reciprocal values."""
-        return SpectrumSpec(tuple((w, 1.0 / v) for w, v in self.atoms))
-
     @classmethod
     def identity(cls) -> "SpectrumSpec":
         return cls(((1.0, 1.0),))
@@ -106,13 +102,12 @@ def realize_eigenvalues(spec: SpectrumSpec, p: int) -> np.ndarray:
 class CovarianceModel:
     """Diagonal population covariance with cached precision and norms.
 
-    The model is diagonal in the standard basis: ``eigenvalues`` are ascending
-    and ``sigma``/``precision`` are ``diag(eigenvalues)`` and its inverse.
+    The model is diagonal in the standard basis: the ascending ``eigenvalues``
+    are its diagonal, and ``precision`` is the dense ``diag(1 / eigenvalues)``.
     Immutable after construction.
     """
 
     eigenvalues: np.ndarray
-    sigma: np.ndarray
     precision: np.ndarray
     precision_frobenius_sq: float
     precision_trace_norm: float
@@ -132,7 +127,6 @@ class CovarianceModel:
         precision = np.diag(1.0 / tau)
         return cls(
             eigenvalues=tau,
-            sigma=np.diag(tau),
             precision=precision,
             precision_frobenius_sq=frobenius_sq(precision),
             precision_trace_norm=float(np.trace(precision)),

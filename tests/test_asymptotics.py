@@ -197,7 +197,7 @@ class TestWeightedDualTraceLimit:
     def test_theta_equal_sigma(self):
         truth = build_covariance(THREE_BLOCK, 30)
         for ratio in (1.5, 2.0):
-            value = weighted_dual_trace_limit(truth, truth.sigma, ratio)
+            value = weighted_dual_trace_limit(truth, np.diag(truth.eigenvalues), ratio)
             assert value == pytest.approx(1.0 / (ratio - 1.0), rel=1e-10)
 
     def test_theta_identity_isotropic(self):
@@ -227,7 +227,7 @@ class TestWeightedDualTraceLimit:
 
     def test_residual_contract(self):
         truth = build_covariance(THREE_BLOCK, 30)
-        theta = truth.sigma
+        theta = np.diag(truth.eigenvalues)
         ratio = 1.5
         y = weighted_dual_trace_limit(truth, theta, ratio)
         s = 1.0 / np.sqrt(truth.eigenvalues)

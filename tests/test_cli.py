@@ -119,6 +119,65 @@ seed: 1
         assert "duplicate estimator ids" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
 
+    def test_duplicate_p_values_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "dup.csv"
+        assert main(["simulate", "fig1", "--p-grid", "20,20", "--reps", "2",
+                     "--out", str(out)]) == 2
+        assert "duplicate p values: [20]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("p_grid: [20.9]", "p_grid entry must be an integer, got 20.9"),
+        ("p_grid: 20", "p_grid must be a list, got 20"),
+        ("replications: 2.7", "replications must be an integer, got 2.7"),
+        ("replications: true", "replications must be an integer, got True"),
+        ("seed: 3.9", "seed must be an integer, got 3.9"),
+        ("seed: false", "seed must be an integer, got False"),
+        ('clamp: "no"', "clamp must be true or false, got 'no'"),
+        ("center: 1", "center must be true or false, got 1"),
+        ("distribution: {kind: student_t, df: 3, allow_low_df: 'yes'}",
+         "allow_low_df must be true or false, got 'yes'"),
+        ("estimators: sample_inv", "estimators must be a list, got 'sample_inv'"),
+        ("targets: identity_over_p", "targets must be a list, got 'identity_over_p'"),
+    ])
+    def test_config_values_are_not_coerced(self, tmp_path, capsys, line, message):
+        fields = {
+            "spectrum": "threeblock",
+            "ratio": "0.25",
+            "p_grid": "[20]",
+            "replications": "2",
+            "seed": "3",
+            "estimators": "[sample_inv, olse_precision]",
+            "targets": "[identity_over_p]",
+        }
+        key, value = line.split(": ", 1)
+        fields[key] = value
+        config = tmp_path / "typed.yaml"
+        config.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+        out = tmp_path / "typed.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_yaml_booleans_accepted(self, tmp_path):
+        config = tmp_path / "flags.yaml"
+        config.write_text(
+            """
+spectrum: threeblock
+ratio: 0.25
+p_grid: [20]
+replications: 2
+seed: 3
+estimators: [sample_inv, olse_precision]
+clamp: yes
+center: false
+distribution: {kind: student_t, df: 3, allow_low_df: true}
+"""
+        )
+        out = tmp_path / "flags.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 0
+        assert [row.replications for row in read_results(str(out))] == [2, 2]
+
     def test_nan_ratio_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.yaml"
         config.write_text(
@@ -253,6 +312,16 @@ class TestEstimate:
         out = tmp_path / "pinv.csv"
         assert main(["estimate", str(data), "--pseudo-inverse", "--out", str(out)]) == 0
         assert np.loadtxt(out, delimiter=",").shape == (12, 12)
+
+    def test_conflicting_pseudo_flags_exit_2(self, tmp_path, capsys):
+        data = write_gaussian_csv(tmp_path / "wide.csv", 12, 6, seed=5)
+        out = tmp_path / "both.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(data), "--identity-case", "--pseudo-inverse",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_target_inverse_of_spectrum(self, tmp_path):
         data = write_gaussian_csv(tmp_path / "data.csv", 10, 200, seed=6)

@@ -108,12 +108,11 @@ class TestTargetMatrix:
         ):
             np.testing.assert_array_equal(target.diagonal, np.diagonal(target.matrix))
             assert target.frobenius_sq == np.sum(target.matrix * target.matrix)
-            assert target.trace_norm == np.trace(target.matrix)
 
     def test_identity_over_p(self):
         target = TargetMatrix.identity_over_p(4)
         assert target.frobenius_sq == pytest.approx(0.25)
-        assert target.trace_norm == pytest.approx(1.0)
+        assert np.trace(target.matrix) == pytest.approx(1.0)
 
     def test_inverse_of_spectrum_alignment(self):
         # reciprocal values stay at the ascending covariance positions

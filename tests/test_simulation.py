@@ -18,8 +18,8 @@ from precshrink import (
     run_experiment,
     run_grid_point,
 )
-from precshrink import simulation
-from precshrink.simulation import THREE_BLOCK, with_overrides
+from precshrink import prial, simulation
+from precshrink.simulation import PRIOR_SPECTRA, THREE_BLOCK, with_overrides
 
 
 def small_config(**overrides):
@@ -253,6 +253,76 @@ class TestRunExperiment:
                          "olse_covariance": 2, "oracle_equivariant": 2}
 
 
+ALL_IDS = ("sample_inv", "sample_pinv", "olse_precision", "olse_precision_oracle",
+           "olse_cov_inv", "ev_oracle")
+ALL_ROWS = ["sample_inv", "sample_pinv",
+            "olse_precision[identity_over_p]", "olse_precision[prior2]",
+            "olse_precision_oracle[identity_over_p]", "olse_precision_oracle[prior2]",
+            "olse_cov_inv[identity_over_p]", "olse_cov_inv[prior2]", "ev_oracle"]
+PINV_ONLY = "pseudo-inverse baseline applies only for p >= n"
+NEAR_SINGULAR = "p/n = 0.952 lies in the near-singular band"
+BONA_FIDE_PSEUDO = "bona fide estimator is undefined for p >= n"
+
+
+class TestGridPointSummaries:
+    """One grid point's report rows against the replications they summarize."""
+
+    def config(self, ratio, estimators=ALL_IDS):
+        prior2 = TargetSpec.from_cov_spectrum("prior2", PRIOR_SPECTRA["prior2"])
+        return small_config(ratio=ratio, p_grid=(20,), replications=3, seed=3,
+                            targets=(TargetSpec.identity_over_p(), prior2),
+                            estimators=estimators)
+
+    @pytest.mark.parametrize("ratio, baseline, skipped", [
+        (0.97, "sample_inv", {
+            "sample_pinv": PINV_ONLY,
+            "olse_precision[identity_over_p]": NEAR_SINGULAR,
+            "olse_precision[prior2]": NEAR_SINGULAR,
+            "olse_precision_oracle[identity_over_p]": NEAR_SINGULAR,
+            "olse_precision_oracle[prior2]": NEAR_SINGULAR,
+        }),
+        (2.0, "sample_pinv", {
+            "sample_inv": "sample inverse undefined for p >= n",
+            "olse_precision[identity_over_p]": BONA_FIDE_PSEUDO,
+            "olse_precision[prior2]": BONA_FIDE_PSEUDO,
+        }),
+        (0.5, "sample_inv", {"sample_pinv": PINV_ONLY}),
+    ])
+    def test_rows_skips_and_means(self, ratio, baseline, skipped):
+        report, results = run_grid_point(self.config(ratio), 20)
+        assert report.baseline_id == baseline
+        assert [e.estimator_id for e in report.summaries] == ALL_ROWS
+        assert [r.index for r in results] == [0, 1, 2]
+        baseline_mean = np.mean(np.array([res.losses[baseline] for res in results]))
+        for entry in report.summaries:
+            row = entry.estimator_id
+            if row in skipped:
+                assert (entry.status, entry.reason, entry.replications) == (
+                    "skipped", skipped[row], 0)
+                assert np.isnan([entry.mean_loss, entry.prial_percent,
+                                 entry.mean_alpha, entry.mean_beta]).all()
+                assert all(row not in res.losses for res in results)
+                continue
+            assert (entry.status, entry.reason, entry.replications) == ("ok", "", 3)
+            mean_loss = np.mean(np.array([res.losses[row] for res in results]))
+            assert entry.mean_loss == mean_loss
+            assert entry.prial_percent == prial(mean_loss, baseline_mean)
+            if "[" in row:
+                alphas, betas = zip(*(res.weights[row] for res in results))
+                assert entry.mean_alpha == np.mean(np.array(alphas))
+                assert entry.mean_beta == np.mean(np.array(betas))
+            else:
+                assert np.isnan(entry.mean_alpha) and np.isnan(entry.mean_beta)
+
+    @pytest.mark.parametrize("ratio, baseline", [(0.5, "sample_inv"), (2.0, "sample_pinv")])
+    def test_unrequested_baseline_comes_first(self, ratio, baseline):
+        requested = tuple(kind for kind in ALL_IDS if kind != baseline)
+        report, _ = run_grid_point(self.config(ratio, requested), 20)
+        rows = [e.estimator_id for e in report.summaries]
+        assert rows == [baseline] + [row for row in ALL_ROWS if row != baseline]
+        assert report.summaries[0].prial_percent == 0.0
+
+
 class TestConfigValidation:
     def test_sample_size_floor(self):
         with pytest.raises(ValueError, match="n < 2"):
@@ -278,6 +348,10 @@ class TestConfigValidation:
     def test_duplicate_estimator_ids(self):
         with pytest.raises(ValueError, match=r"duplicate estimator ids: \['olse_precision'\]"):
             small_config(estimators=("sample_inv", "olse_precision", "olse_precision"))
+
+    def test_duplicate_p_values(self):
+        with pytest.raises(ValueError, match=r"duplicate p values: \[15\]"):
+            small_config(p_grid=(15, 30, 15))
 
     def test_duplicate_target_names(self):
         identity = TargetSpec.identity_over_p()

@@ -43,11 +43,6 @@ class TestSpectrumSpec:
         with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
             SpectrumSpec(((0.5, 1.0), (weight, 0.5)))
 
-    def test_inverted(self):
-        inv = THREE_BLOCK.inverted()
-        np.testing.assert_allclose(inv.values, [1.0, 1.0 / 3.0, 0.1])
-        np.testing.assert_allclose(inv.weights, THREE_BLOCK.weights)
-
 
 class TestSpectralMoments:
     def test_identity(self):
@@ -99,11 +94,11 @@ class TestBuildCovariance:
     def test_three_block_p10(self):
         model = build_covariance(THREE_BLOCK, 10)
         expected = np.diag([1.0] * 2 + [3.0] * 4 + [10.0] * 4)
-        np.testing.assert_array_equal(model.sigma, expected)
+        np.testing.assert_array_equal(np.diag(model.eigenvalues), expected)
 
     def test_single_atom_scaled_identity(self):
         model = build_covariance(SpectrumSpec.isotropic(2.5), 5)
-        np.testing.assert_array_equal(model.sigma, 2.5 * np.eye(5))
+        np.testing.assert_array_equal(np.diag(model.eigenvalues), 2.5 * np.eye(5))
 
     def test_p7_counts(self):
         model = build_covariance(THREE_BLOCK, 7)
@@ -117,11 +112,11 @@ class TestBuildCovariance:
 
     def test_identity_basis_gives_diagonal(self):
         model = build_covariance(THREE_BLOCK, 10)
-        assert np.count_nonzero(model.sigma - np.diag(np.diagonal(model.sigma))) == 0
+        assert np.count_nonzero(model.precision - np.diag(np.diagonal(model.precision))) == 0
 
     def test_precision_is_inverse(self):
         model = build_covariance(THREE_BLOCK, 20)
-        np.testing.assert_allclose(model.sigma @ model.precision, np.eye(20), atol=1e-10)
+        np.testing.assert_allclose(np.diag(model.eigenvalues) @ model.precision, np.eye(20), atol=1e-10)
 
     def test_cached_norms(self):
         model = build_covariance(THREE_BLOCK, 10)
