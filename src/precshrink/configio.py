@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -51,6 +52,18 @@ class ResultRow:
 RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML loader that reads a plain ``1e-3`` as a float, as JSON and
+    YAML 1.2 do; YAML 1.1 reads an exponent without a dot as a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
 def parse_spectrum(obj) -> SpectrumSpec:
     """Parse a spectrum from a list of {weight, eigenvalue} mappings."""
     if not isinstance(obj, list) or not obj:
@@ -61,10 +74,8 @@ def parse_spectrum(obj) -> SpectrumSpec:
             raise ConfigError(
                 f"spectrum entry {index}: expected keys 'weight' and 'eigenvalue', got {entry!r}"
             )
-        try:
-            atoms.append((float(entry["weight"]), float(entry["eigenvalue"])))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"spectrum entry {index}: non-numeric value ({exc})") from exc
+        atoms.append(tuple(_typed(entry[key], f"spectrum entry {index}: {key}", _NUMBER, "a number")
+                           for key in ("weight", "eigenvalue")))
     try:
         return SpectrumSpec(tuple(atoms))
     except ValueError as exc:
@@ -77,7 +88,7 @@ def load_spectrum(source: str) -> SpectrumSpec:
         return BUILTIN_SPECTRA[source]
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            payload = yaml.safe_load(handle)
+            payload = yaml.load(handle, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(
             f"unknown spectrum {source!r}: not a builtin name "
@@ -108,9 +119,13 @@ def _parse_target(obj) -> TargetSpec:
     raise ConfigError(f"cannot parse target entry {obj!r}")
 
 
-def _typed(value, name: str, kind: type, what: str):
-    """Return a config value unchanged if it is a ``kind``; a bool is no int."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+_NUMBER = (int, float)
+
+
+def _typed(value, name: str, kind, what: str):
+    """Return a config value unchanged if it is a ``kind`` (a type or a tuple
+    of types); a bool counts only as a bool, never as a number."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
 
@@ -128,11 +143,10 @@ def _parse_distribution(obj) -> DistributionSpec:
         if kind == GAUSSIAN:
             return DistributionSpec(GAUSSIAN)
         if kind == STUDENT_T:
-            return DistributionSpec(
-                STUDENT_T,
-                degrees_of_freedom=float(obj["df"]) if "df" in obj else None,
-                allow_low_df=allow_low_df,
-            )
+            df = float(_typed(obj["df"], "df", _NUMBER, "a number")) if "df" in obj else None
+            return DistributionSpec(STUDENT_T, degrees_of_freedom=df, allow_low_df=allow_low_df)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid distribution {obj!r}: {exc}") from exc
     raise ConfigError(f"unknown distribution kind {kind!r}")
@@ -160,7 +174,7 @@ def parse_experiment_config(
             if isinstance(payload["spectrum"], list)
             else load_spectrum(str(payload["spectrum"])),
             targets=tuple(_parse_target(t) for t in lists["targets"]),
-            ratio=float(payload["ratio"]),
+            ratio=float(_typed(payload["ratio"], "ratio", _NUMBER, "a number")),
             p_grid=tuple(_typed(p, "p_grid entry", int, "an integer") for p in lists["p_grid"]),
             distribution=_parse_distribution(payload.get("distribution")),
             replications=_typed(payload["replications"], "replications", int, "an integer"),
@@ -179,7 +193,7 @@ def load_experiment_config(path: str, seed_override: int | None = None) -> Exper
     """Read an experiment config file (YAML with named fields)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = yaml.safe_load(handle)
+            payload = yaml.load(handle, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     DegenerateTargetError,
@@ -258,17 +258,24 @@ def bona_fide_olse(
     """
     _require_invertible(stats, "bona_fide_olse")
     _check_dims(stats.p, target.matrix, "target")
-    f = stats.inverse_frobenius_sq
-    g = target.frobenius_sq
     cross = trace_product(stats.inverse, target.matrix)
-    det = hessian_determinant(f, g, cross)
+    alpha, beta = bona_fide_weights(stats, target.frobenius_sq, cross, clamp)
+    matrix = alpha * stats.inverse + beta * target.matrix
+    return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
+
+
+def bona_fide_weights(
+    stats: SampleStats, target_frobenius_sq: float, cross_trace: float, clamp: bool = False
+) -> tuple[float, float]:
+    """The (alpha, beta) of :func:`bona_fide_olse` from ``||T||^2`` and ``tr(inv(S) T)``."""
+    g = target_frobenius_sq
+    det = hessian_determinant(stats.inverse_frobenius_sq, g, cross_trace)
     slack = 1.0 - stats.ratio
     alpha = slack - (stats.inverse_trace_norm**2 / stats.n) * g / det
     if clamp:
         alpha = min(max(alpha, 0.0), slack)
-    beta = (cross / g) * (slack - alpha)
-    matrix = alpha * stats.inverse + beta * target.matrix
-    return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
+    beta = (cross_trace / g) * (slack - alpha)
+    return alpha, beta
 
 
 def estimate_isotropic_precision(stats: SampleStats) -> float:
@@ -293,30 +300,54 @@ def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceE
     """
     _check_dims(stats.p, target_cov.matrix, "target_cov")
     s = stats.matrix
-    f = frobenius_sq(s)
-    g = target_cov.frobenius_sq
-    cross = trace_product(s, target_cov.matrix)
-    det = hessian_determinant(f, g, cross)
-    trace_s = float(np.trace(s))
-    alpha = 1.0 - (trace_s**2 / stats.n) * g / det
-    beta = (cross / g) * (1.0 - alpha)
+    alpha, beta = covariance_weights(
+        stats, frobenius_sq(s), target_cov.frobenius_sq, trace_product(s, target_cov.matrix)
+    )
     sigma_hat = alpha * s + beta * target_cov.matrix
     inverse = _symmetric_inverse(sigma_hat)
     return CovarianceEstimate(sigma_hat, inverse, ShrinkageWeights(alpha, beta))
 
 
+def covariance_weights(
+    stats: SampleStats, s_frobenius_sq: float, target_frobenius_sq: float, cross_trace: float
+) -> tuple[float, float]:
+    """The (alpha, beta) of :func:`olse_covariance` from ``||S||^2``, ``||T||^2``
+    and ``tr(S T)``."""
+    g = target_frobenius_sq
+    det = hessian_determinant(s_frobenius_sq, g, cross_trace)
+    trace_s = float(np.trace(stats.matrix))
+    alpha = 1.0 - (trace_s**2 / stats.n) * g / det
+    beta = (cross_trace / g) * (1.0 - alpha)
+    return alpha, beta
+
+
+def _require_nonsingular(eigenvalues: np.ndarray) -> None:
+    """Raise :class:`SingularMatrixError` when the symmetric matrix with these
+    eigenvalues is numerically singular: min |w| <= p * eps * max |w|."""
+    magnitude = np.abs(eigenvalues)
+    if np.min(magnitude) <= eigenvalues.size * np.finfo(float).eps * np.max(magnitude):
+        raise SingularMatrixError("covariance shrinkage estimate is numerically singular")
+
+
 def _symmetric_inverse(a: np.ndarray) -> np.ndarray:
-    p = a.shape[0]
-    try:
-        inverse = scipy.linalg.solve(a, np.eye(p), assume_a="pos")
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(a)
-        if np.min(np.abs(w)) <= p * np.finfo(float).eps * np.max(np.abs(w)):
-            raise SingularMatrixError(
-                "covariance shrinkage estimate is numerically singular"
-            ) from None
-        inverse = (v / w) @ v.T
-    return symmetrize(inverse)
+    """Inverse of a symmetric matrix by one Cholesky factorization.
+
+    ``potrf`` factors ``a`` into an upper factor with a zeroed lower
+    triangle, and ``potri`` overwrites the factor's upper triangle with that
+    of the inverse. Adding the transpose mirrors it, so the result is exactly
+    symmetric. A matrix that is not positive definite falls back to ``eigh``
+    and raises :class:`SingularMatrixError` when it is numerically singular.
+    """
+    factor, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(a), clean=True)
+    if info == 0:
+        upper, info = scipy.linalg.lapack.dpotri(factor, overwrite_c=True)
+    if info == 0:
+        inverse = upper + upper.T
+        np.fill_diagonal(inverse, np.diagonal(upper))
+        return inverse
+    w, v = np.linalg.eigh(a)
+    _require_nonsingular(w)
+    return symmetrize((v / w) @ v.T)
 
 
 def oracle_equivariant(stats: SampleStats, truth: CovarianceModel) -> PrecisionEstimate:

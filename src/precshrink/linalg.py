@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,20 +124,23 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Sample covariance with its eigendecomposition and cached (pseudo-)inverse.
+    """Sample covariance with its eigendecomposition and inverse eigenvalues.
 
     ``eigenvalues`` are ascending, ``eigenvectors`` holds the matching
-    orthonormal eigenvectors as columns. ``inverse`` is the plain inverse in
-    the invertible regime (p < n) and the Moore-Penrose pseudo-inverse
-    otherwise. Instances are immutable and safe to share across threads.
+    orthonormal eigenvectors as columns. ``inverse_eigenvalues`` are their
+    reciprocals, with 0 for every eigenvalue at or below the rank tolerance
+    in the pseudo-inverse regime (p >= n), so ``U diag(inverse_eigenvalues) U'``
+    is the plain inverse when p < n and the Moore-Penrose pseudo-inverse
+    otherwise. That dense ``p x p`` matrix, ``inverse``, is formed on first
+    access only; the norms below come from the eigenvalues. Instances are
+    immutable and safe to share across threads.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     regime: str
-    inverse: np.ndarray
-    inverse_frobenius_sq: float
+    inverse_eigenvalues: np.ndarray
     inverse_trace_norm: float
     p: int
     n: int
@@ -144,6 +148,18 @@ class SampleStats:
     @property
     def ratio(self) -> float:
         return self.p / self.n
+
+    @property
+    def inverse_frobenius_sq(self) -> float:
+        """Squared Frobenius norm of ``inverse``: the sum of squared inverse eigenvalues."""
+        return frobenius_sq(self.inverse_eigenvalues)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        u = self.eigenvectors
+        if self.regime == REGIME_INVERTIBLE:  # one rounding per entry, not two
+            return symmetrize((u / self.eigenvalues) @ u.T)
+        return symmetrize((u * self.inverse_eigenvalues) @ u.T)
 
 
 def rank_tolerance(eigenvalues: np.ndarray, p: int) -> float:
@@ -179,8 +195,8 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
                 f"{eigenvalues[0]:.3e} <= tolerance {tol:.3e}) although p={p} < n={n}"
             )
         regime = REGIME_INVERTIBLE
-        inverse = symmetrize((eigenvectors / eigenvalues) @ eigenvectors.T)
-        trace_norm = float(np.sum(1.0 / eigenvalues))
+        inverse_eigenvalues = 1.0 / eigenvalues
+        trace_norm = float(np.sum(inverse_eigenvalues))
     else:
         regime = REGIME_PSEUDO
         positive = eigenvalues > tol
@@ -191,16 +207,14 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        inv_vals = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
-        inverse = symmetrize((eigenvectors * inv_vals) @ eigenvectors.T)
+        inverse_eigenvalues = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
         trace_norm = float(np.sum(1.0 / eigenvalues[positive]))
     return SampleStats(
         matrix=s,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         regime=regime,
-        inverse=inverse,
-        inverse_frobenius_sq=frobenius_sq(inverse),
+        inverse_eigenvalues=inverse_eigenvalues,
         inverse_trace_norm=trace_norm,
         p=p,
         n=n,

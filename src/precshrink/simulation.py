@@ -1,8 +1,9 @@
 """Monte Carlo replication engine and benchmark experiment definitions.
 
 Data generation (Gaussian and unit-variance Student-t), deterministic
-counter-based seeding per replication, and the named benchmark experiments
-at desk scale. Replications are embarrassingly parallel; each owns its own
+counter-based seeding per replication, the scoring of every estimator row
+from the eigendecomposition of S, and the named benchmark experiments at
+desk scale. Replications are embarrassingly parallel; each owns its own
 random substream keyed by (seed, p, replication), so results are identical
 for any thread count.
 """
@@ -14,6 +15,7 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,21 +27,22 @@ from .estimators import (
     OLSE_PRECISION_ORACLE,
     SAMPLE_INV,
     SAMPLE_PINV,
-    TargetMatrix,
-    bona_fide_olse,
-    olse_covariance,
-    oracle_equivariant,
-    oracle_olse_gt1,
-    oracle_olse_lt1,
+    _require_nonsingular,
+    _symmetric_inverse,
+    bona_fide_weights,
+    covariance_weights,
+    optimal_weights_from_functionals,
 )
 from .linalg import (
-    REGIME_INVERTIBLE,
     DataMatrix,
+    SampleStats,
+    frobenius_sq,
     sample_covariance,
+    trace_product,
     use_single_threaded_blas,
 )
-from .metrics import EstimatorSummary, PrialReport, frobenius_loss, prial
-from .spectral import CovarianceModel, SpectrumSpec, build_covariance
+from .metrics import EstimatorSummary, PrialReport, prial
+from .spectral import CovarianceModel, SpectrumSpec, build_covariance, realize_eigenvalues
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "student_t"
@@ -198,28 +201,97 @@ def generate_data(
     return DataMatrix(np.sqrt(truth.eigenvalues)[:, None] * x)
 
 
-def _run_inverse(stats, truth, row, clamp):
-    return frobenius_loss(stats.inverse, truth.precision), None
+class _Spectra:
+    """One replication's sample spectrum and the functionals its rows share.
 
+    Sigma and every target in ``simulate`` are diagonal, so every estimate a
+    row scores is ``U diag(e) U' + diag(beta t)``, where ``S = U diag(lam) U'``.
+    With ``pi = 1 / tau``, ``delta = beta t - pi``, ``W = U * U`` (elementwise;
+    its rows and columns sum to 1) and ``dd = W' delta``, the Frobenius loss
+    against ``diag(pi)`` is the sum of squares
 
-def _run_ev_oracle(stats, truth, row, clamp):
-    return frobenius_loss(oracle_equivariant(stats, truth).matrix, truth.precision), None
+        ||e + dd||^2 + sum_ij W_ij (delta_i - dd_j)^2,
 
+    which is never negative and keeps its accuracy when the estimate is close
+    to the truth. Weights come from the same functionals: ``||inv(S)||^2 =
+    iv . iv`` and ``tr(inv(S) T) = iv . (W' t)`` with ``iv`` the inverse
+    eigenvalues. So a row needs no ``p x p`` estimate and no dense inverse;
+    only a covariance target that is not a multiple of the identity forms
+    and inverts ``alpha S + beta diag(c)``.
 
-def _run_bona_fide(stats, truth, row, clamp):
-    est = bona_fide_olse(stats, row.precision_target, clamp=clamp)
-    return frobenius_loss(est.matrix, truth.precision), (est.weights.alpha, est.weights.beta)
+    ``targets`` lists the distinct precision-target vectors of the plan, with
+    ``pi`` itself; ``W' t`` is computed once per vector and looked up by
+    identity, so the true-precision target reuses ``W' pi`` exactly.
+    """
 
+    def __init__(self, stats: SampleStats, pi: np.ndarray, targets: list[np.ndarray],
+                 clamp: bool):
+        self.stats = stats
+        self.clamp = clamp
+        self.pi = pi
+        self.iv = stats.inverse_eigenvalues
+        self.w = np.square(stats.eigenvectors, order="C")
+        rotated = np.stack(targets) @ self.w
+        self.rotated = {id(t): d for t, d in zip(targets, rotated)}
+        self.d_pi = self.rotated[id(pi)]
 
-def _run_oracle_olse(stats, truth, row, clamp):
-    oracle = oracle_olse_lt1 if stats.regime == REGIME_INVERTIBLE else oracle_olse_gt1
-    est = oracle(stats, truth, row.precision_target)
-    return frobenius_loss(est.matrix, truth.precision), (est.weights.alpha, est.weights.beta)
+    def _spread(self, delta: np.ndarray, dd: np.ndarray) -> float:
+        """sum_ij W_ij (delta_i - dd_j)^2."""
+        gap = np.subtract.outer(delta, dd)
+        gap *= gap
+        return float(self.w.ravel() @ gap.ravel())
 
+    @cached_property
+    def _truth_spread(self) -> float:
+        return self._spread(self.pi, self.d_pi)
 
-def _run_olse_cov_inv(stats, truth, row, clamp):
-    est = olse_covariance(stats, row.covariance_target)
-    return frobenius_loss(est.inverse, truth.precision), (est.weights.alpha, est.weights.beta)
+    def _truth_loss(self, e: np.ndarray) -> float:
+        """Loss of ``U diag(e) U'``, an estimate with no target part."""
+        head = e - self.d_pi
+        return float(head @ head) + self._truth_spread
+
+    def _shrinkage_loss(self, alpha: float, beta: float, t: np.ndarray) -> float:
+        """Loss of ``alpha inv(S) + beta diag(t)``."""
+        dd = beta * self.rotated[id(t)] - self.d_pi
+        head = alpha * self.iv + dd
+        return float(head @ head) + self._spread(beta * t - self.pi, dd)
+
+    def sample_inverse(self, row):
+        return self._truth_loss(self.iv), None
+
+    def ev_oracle(self, row):
+        # diag(U' inv(Sigma) U) on every column, null space included.
+        return self._truth_loss(self.d_pi), None
+
+    def bona_fide(self, row):
+        t = row.precision_target
+        alpha, beta = bona_fide_weights(self.stats, frobenius_sq(t),
+                                        float(self.iv @ self.rotated[id(t)]), self.clamp)
+        return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
+
+    def oracle_olse(self, row):
+        t = row.precision_target
+        alpha, beta = optimal_weights_from_functionals(
+            float(self.iv @ self.d_pi), trace_product(self.pi, t),
+            float(self.iv @ self.rotated[id(t)]), self.stats.inverse_frobenius_sq, frobenius_sq(t))
+        return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
+
+    def covariance_inverse(self, row):
+        c = row.covariance_target
+        stats = self.stats
+        lam = stats.eigenvalues
+        alpha, beta = covariance_weights(stats, frobenius_sq(lam), frobenius_sq(c),
+                                         trace_product(np.diagonal(stats.matrix), c))
+        if np.all(c == c[0]):  # alpha S + beta c0 I shares the eigenvectors of S
+            shrunk = alpha * lam + beta * c[0]
+            if not np.all(shrunk > 0.0):
+                _require_nonsingular(shrunk)
+            return self._truth_loss(1.0 / shrunk), (alpha, beta)
+        sigma_hat = alpha * stats.matrix
+        sigma_hat[np.diag_indices_from(sigma_hat)] += beta * c
+        error = _symmetric_inverse(sigma_hat)
+        error[np.diag_indices_from(error)] -= self.pi
+        return float(error.ravel() @ error.ravel()), (alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -227,9 +299,10 @@ class _Estimator:
     """What the replication engine knows about one estimator id.
 
     ``needs_target``: one row per target, and ``run`` reports (alpha, beta).
-    ``run(stats, truth, row, clamp) -> (loss, (alpha, beta) | None)`` looks up
-    ``frobenius_loss`` and the estimator by module name at call time, so
-    rebinding those names (as tracing does) reaches every row.
+    ``run(spectra, row) -> (loss, (alpha, beta) | None)`` is a :class:`_Spectra`
+    method: it scores the row from the replication's shared spectral work,
+    with the weights of the matching dense estimator function and the loss
+    ``frobenius_loss`` would give that function's estimate.
     """
 
     needs_target: bool
@@ -248,45 +321,45 @@ class _Estimator:
 
 
 _ESTIMATORS = {
-    SAMPLE_INV: _Estimator(False, _run_inverse,
+    SAMPLE_INV: _Estimator(False, _Spectra.sample_inverse,
                            skip_when_pseudo="sample inverse undefined for p >= n"),
-    SAMPLE_PINV: _Estimator(False, _run_inverse,
+    SAMPLE_PINV: _Estimator(False, _Spectra.sample_inverse,
                             skip_when_invertible="pseudo-inverse baseline applies only for p >= n"),
-    OLSE_PRECISION: _Estimator(True, _run_bona_fide, skip_near_singular=True,
+    OLSE_PRECISION: _Estimator(True, _Spectra.bona_fide, skip_near_singular=True,
                                skip_when_pseudo="bona fide estimator is undefined for p >= n"),
-    OLSE_PRECISION_ORACLE: _Estimator(True, _run_oracle_olse, skip_near_singular=True),
-    OLSE_COV_INV: _Estimator(True, _run_olse_cov_inv),
-    EV_ORACLE: _Estimator(False, _run_ev_oracle),
+    OLSE_PRECISION_ORACLE: _Estimator(True, _Spectra.oracle_olse, skip_near_singular=True),
+    OLSE_COV_INV: _Estimator(True, _Spectra.covariance_inverse),
+    EV_ORACLE: _Estimator(False, _Spectra.ev_oracle),
 }
 
 
 @dataclass(frozen=True)
 class _PlannedEstimator:
-    """One output row of a grid point; ``skip_reason`` is None when it runs."""
+    """One output row of a grid point; ``skip_reason`` is None when it runs.
+
+    The targets are the diagonals of the diagonal target matrices.
+    """
 
     row_id: str
     estimator: _Estimator
     skip_reason: str | None
-    precision_target: TargetMatrix | None = None
-    covariance_target: TargetMatrix | None = None
+    precision_target: np.ndarray | None = None
+    covariance_target: np.ndarray | None = None
 
 
-def _resolve_targets(spec: TargetSpec, p: int, truth: CovarianceModel):
-    """Return the (precision target, covariance target) pair for one recipe."""
+def _resolve_targets(spec: TargetSpec, truth: CovarianceModel, pi: np.ndarray):
+    """Return the (precision target, covariance target) diagonals for one recipe."""
     if spec.kind == TARGET_IDENTITY:
-        identity = TargetMatrix.identity_over_p(p)
+        identity = np.full(truth.p, 1.0 / truth.p)
         return identity, identity
     if spec.kind == TARGET_TRUE_PRECISION:
-        precision = TargetMatrix.from_matrix(truth.precision, name=spec.name)
-        covariance = TargetMatrix.from_matrix(np.diag(truth.eigenvalues), name=spec.name)
-        return precision, covariance
-    precision = TargetMatrix.inverse_of_spectrum(spec.cov_spectrum, p, name=spec.name)
-    covariance = TargetMatrix.from_spectrum(spec.cov_spectrum, p, name=spec.name)
-    return precision, covariance
+        return pi, truth.eigenvalues
+    covariance = realize_eigenvalues(spec.cov_spectrum, truth.p)
+    return 1.0 / covariance, covariance
 
 
 def _plan_estimators(
-    config: ExperimentConfig, p: int, n: int, truth: CovarianceModel, baseline_id: str
+    config: ExperimentConfig, n: int, truth: CovarianceModel, pi: np.ndarray, baseline_id: str
 ) -> list[_PlannedEstimator]:
     """Expand estimator ids x targets into rows, in output order.
 
@@ -294,10 +367,11 @@ def _plan_estimators(
     mismatches become skip reasons instead of errors, so one bad estimator
     does not kill a whole run.
     """
+    p = truth.p
     kinds = list(config.estimators)
     if baseline_id not in kinds:
         kinds.insert(0, baseline_id)
-    resolved = [(spec, *_resolve_targets(spec, p, truth)) for spec in config.targets]
+    resolved = [(spec, *_resolve_targets(spec, truth, pi)) for spec in config.targets]
     plan: list[_PlannedEstimator] = []
     for kind in kinds:
         estimator = _ESTIMATORS[kind]
@@ -333,18 +407,22 @@ def run_grid_point(
     use_single_threaded_blas()
     n = grid_sample_size(p, config.ratio)
     truth = build_covariance(config.spectrum, p)
+    pi = 1.0 / truth.eigenvalues
     baseline_id = SAMPLE_INV if p < n else SAMPLE_PINV
-    plan = _plan_estimators(config, p, n, truth, baseline_id)
+    plan = _plan_estimators(config, n, truth, pi, baseline_id)
     runnable = [row for row in plan if row.skip_reason is None]
+    targets = list({id(t): t for t in [pi] + [row.precision_target for row in runnable]
+                    if t is not None}.values())
 
     def one_replication(r: int) -> ReplicationResult:
         rng = replication_rng(config.seed, p, r)
         data = generate_data(truth, n, config.distribution, rng)
-        stats = sample_covariance(data, center=config.center)
+        spectra = _Spectra(sample_covariance(data, center=config.center), pi, targets,
+                           config.clamp)
         losses: dict[str, float] = {}
         weights: dict[str, tuple[float, float]] = {}
         for planned in runnable:
-            loss, pair = planned.estimator.run(stats, truth, planned, config.clamp)
+            loss, pair = planned.estimator.run(spectra, planned)
             losses[planned.row_id] = loss
             if pair is not None:
                 weights[planned.row_id] = pair

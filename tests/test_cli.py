@@ -139,6 +139,14 @@ seed: 1
          "allow_low_df must be true or false, got 'yes'"),
         ("estimators: sample_inv", "estimators must be a list, got 'sample_inv'"),
         ("targets: identity_over_p", "targets must be a list, got 'identity_over_p'"),
+        ("ratio: true", "ratio must be a number, got True"),
+        ('ratio: "0.25"', "ratio must be a number, got '0.25'"),
+        ("distribution: {kind: student_t, df: '10'}", "df must be a number, got '10'"),
+        ("distribution: {kind: student_t, df: true}", "df must be a number, got True"),
+        ("spectrum: [{weight: true, eigenvalue: 1.0}]",
+         "spectrum entry 0: weight must be a number, got True"),
+        ("spectrum: [{weight: 1.0, eigenvalue: '2'}]",
+         "spectrum entry 0: eigenvalue must be a number, got '2'"),
     ])
     def test_config_values_are_not_coerced(self, tmp_path, capsys, line, message):
         fields = {
@@ -177,6 +185,25 @@ distribution: {kind: student_t, df: 3, allow_low_df: true}
         out = tmp_path / "flags.csv"
         assert main(["simulate", str(config), "--out", str(out)]) == 0
         assert [row.replications for row in read_results(str(out))] == [2, 2]
+
+    def test_exponent_numbers_accepted(self, tmp_path):
+        # YAML 1.1 alone would read these plain exponents as strings.
+        config = tmp_path / "exponents.yaml"
+        config.write_text(
+            """
+spectrum: [{weight: 1e0, eigenvalue: 2e0}]
+ratio: 25e-2
+p_grid: [20]
+replications: 2
+seed: 3
+estimators: [sample_inv]
+distribution: {kind: student_t, df: 1e1}
+"""
+        )
+        out = tmp_path / "exponents.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 0
+        assert [(row.n, row.distribution) for row in read_results(str(out))] == [
+            (80, "student_t(df=10)")]
 
     def test_nan_ratio_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.yaml"

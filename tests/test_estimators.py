@@ -8,6 +8,7 @@ from precshrink import (
     DegenerateTargetError,
     NearSingularRegimeError,
     RegimeError,
+    SingularMatrixError,
     TargetMatrix,
     bona_fide_olse,
     build_covariance,
@@ -21,7 +22,7 @@ from precshrink import (
     sample_covariance,
     trace_precision_estimate,
 )
-from precshrink.estimators import optimal_weights_from_functionals
+from precshrink.estimators import _symmetric_inverse, optimal_weights_from_functionals
 from precshrink.linalg import symmetrize
 from precshrink.simulation import THREE_BLOCK
 
@@ -414,6 +415,28 @@ class TestOlseCovariance:
         _, stats = random_instance(rng, 8, 4)
         result = olse_covariance(stats, TargetMatrix.identity_over_p(8))
         np.testing.assert_allclose(result.matrix @ result.inverse, np.eye(8), atol=1e-8)
+
+
+class TestSymmetricInverse:
+    def test_positive_definite_matches_inv(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((7, 20))
+        a = x @ x.T / 20
+        inverse = _symmetric_inverse(a)
+        np.testing.assert_array_equal(inverse, inverse.T)
+        np.testing.assert_allclose(inverse, np.linalg.inv(a), rtol=1e-12, atol=1e-13)
+
+    def test_indefinite_falls_back_to_eigh(self, monkeypatch):
+        a = np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 0.5], [0.0, 0.5, 1.0]])
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        np.testing.assert_allclose(_symmetric_inverse(a), np.linalg.inv(a), rtol=1e-12)
+        assert len(calls) == 1
+
+    def test_singular_raises(self):
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            _symmetric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestOracleEquivariant:

@@ -1,24 +1,36 @@
 """Data generation, replication engine, and builtin experiments."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precshrink import (
     CovarianceModel,
     DistributionSpec,
     ExperimentConfig,
     SpectrumSpec,
+    TargetMatrix,
     TargetSpec,
+    bona_fide_olse,
     build_covariance,
     builtin_experiments,
+    frobenius_loss,
     generate_data,
+    olse_covariance,
+    oracle_equivariant,
+    oracle_olse_gt1,
+    oracle_olse_lt1,
     replication_rng,
     run_experiment,
     run_grid_point,
+    sample_covariance,
 )
-from precshrink import prial, simulation
+from precshrink import metrics, prial, simulation
+from precshrink.linalg import SampleStats
 from precshrink.simulation import PRIOR_SPECTRA, THREE_BLOCK, with_overrides
 
 
@@ -126,16 +138,20 @@ class TestRunExperiment:
         for report in reports:
             assert report.summary("sample_inv").prial_percent == 0.0
 
-    def test_true_precision_target_reaches_100(self):
+    @pytest.mark.parametrize("ratio", [1.0 / 3.0, 1.5])
+    def test_true_precision_target_reaches_100(self, ratio):
         config = small_config(
             targets=(TargetSpec.true_precision(),),
-            estimators=("sample_inv", "olse_precision_oracle"),
+            estimators=("olse_precision_oracle",),
+            ratio=ratio,
             p_grid=(12,),
         )
-        report = run_experiment(config)[0]
-        entry = report.summary("olse_precision_oracle[true_precision]")
+        report, results = run_grid_point(config, 12)
+        row = "olse_precision_oracle[true_precision]"
+        entry = report.summary(row)
         assert entry.prial_percent == 100.0
         assert entry.mean_loss == 0.0
+        assert all(res.weights[row] == (0.0, 1.0) and res.losses[row] == 0.0 for res in results)
 
     def test_threads_do_not_change_results(self):
         config = small_config(replications=8)
@@ -229,28 +245,27 @@ class TestRunExperiment:
         report = run_experiment(config)[0]
         assert report.summary("sample_inv").prial_percent == 0.0
 
-    def test_estimators_looked_up_by_name_at_call_time(self, monkeypatch):
-        # Rebinding a module-level name (as tracing does) must reach every row.
-        calls = {}
+    def test_replication_forms_no_dense_inverse_or_loss(self, monkeypatch):
+        # Every row is scored from eigh(S): no replication evaluates the lazy
+        # dense inverse or takes a dense Frobenius loss, in either regime.
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense path used in a replication")
 
-        def counting(name):
-            func = getattr(simulation, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return func(*args, **kwargs)
-
-            monkeypatch.setattr(simulation, name, wrapper)
-
-        names = ("frobenius_loss", "bona_fide_olse", "oracle_olse_lt1", "olse_covariance",
-                 "oracle_equivariant")
-        for name in names:
-            counting(name)
-        estimators = ("sample_inv", "olse_precision", "olse_precision_oracle", "olse_cov_inv",
-                      "ev_oracle")
-        run_grid_point(small_config(estimators=estimators, p_grid=(15,), replications=2), 15)
-        assert calls == {"frobenius_loss": 10, "bona_fide_olse": 2, "oracle_olse_lt1": 2,
-                         "olse_covariance": 2, "oracle_equivariant": 2}
+        monkeypatch.setattr(SampleStats, "inverse", property(refuse))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "precshrink":
+                for attr, value in list(vars(module).items()):
+                    if value is metrics.frobenius_loss:
+                        monkeypatch.setattr(module, attr, refuse)
+        targets = (TargetSpec.identity_over_p(), TargetSpec.true_precision(),
+                   TargetSpec.from_cov_spectrum("prior2", PRIOR_SPECTRA["prior2"]))
+        for ratio in (1.0 / 3.0, 1.5):
+            config = small_config(estimators=ALL_IDS, targets=targets, ratio=ratio,
+                                  p_grid=(15,), replications=2)
+            report, results = run_grid_point(config, 15)
+            ran = [entry.estimator_id for entry in report.summaries if entry.status == "ok"]
+            assert len(ran) == (11 if ratio < 1.0 else 8)
+            assert all(set(result.losses) == set(ran) for result in results)
 
 
 ALL_IDS = ("sample_inv", "sample_pinv", "olse_precision", "olse_precision_oracle",
@@ -321,6 +336,95 @@ class TestGridPointSummaries:
         rows = [e.estimator_id for e in report.summaries]
         assert rows == [baseline] + [row for row in ALL_ROWS if row != baseline]
         assert report.summaries[0].prial_percent == 0.0
+
+
+def close(actual, expected, atol):
+    return abs(actual - expected) <= max(1e-12 * abs(expected), atol)
+
+
+@st.composite
+def spectra(draw):
+    """A spectrum of one to three atoms with eigenvalues in [0.1, 20]."""
+    values = draw(st.lists(st.floats(0.1, 20.0), min_size=1, max_size=3, unique=True))
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
+    return SpectrumSpec(tuple((c / sum(counts), v) for c, v in zip(counts, values)))
+
+
+class TestSpectralReplication:
+    """The replication scores every row from eigh(S); the dense estimator
+    functions and ``frobenius_loss`` are the reference.
+
+    Agreement is 1e-12 relative. A quantity that is 0 in exact arithmetic is
+    rounding noise on both routes, so it gets an absolute bound instead: 1e-14
+    for an alpha that cancels (the true precision as target, or any
+    multiple of it when Sigma is a multiple of I), and 1e-28 ||inv(Sigma)||^2
+    for a loss, which is the square of a 1e-14 relative error.
+    """
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(p=st.integers(3, 24), n=st.integers(2, 40), truth=spectra(), prior=spectra())
+    def test_matches_dense_estimators(self, p, n, truth, prior):
+        targets = (TargetSpec.identity_over_p(), TargetSpec.true_precision(),
+                   TargetSpec.from_cov_spectrum("prior", prior))
+        config = small_config(spectrum=truth, ratio=p / n, p_grid=(p,), replications=2,
+                              targets=targets, estimators=ALL_IDS)
+        report, results = run_grid_point(config, p)
+        model = build_covariance(truth, p)
+        matrices = {
+            "identity_over_p": (TargetMatrix.identity_over_p(p),) * 2,
+            "true_precision": (TargetMatrix.from_matrix(model.precision),
+                               TargetMatrix.from_matrix(np.diag(model.eigenvalues))),
+            "prior": (TargetMatrix.inverse_of_spectrum(prior, p),
+                      TargetMatrix.from_spectrum(prior, p)),
+        }
+        ran = [entry.estimator_id for entry in report.summaries if entry.status == "ok"]
+        loss_atol = 1e-28 * model.precision_frobenius_sq
+        for result in results:
+            data = generate_data(model, n, config.distribution,
+                                 replication_rng(config.seed, p, result.index))
+            stats = sample_covariance(data)
+            for row in ran:
+                kind, _, name = row.rstrip("]").partition("[")
+                loss = result.losses[row]
+                if kind in ("sample_inv", "sample_pinv"):
+                    assert close(loss, frobenius_loss(stats.inverse, model.precision),
+                                 loss_atol), row
+                    continue
+                if kind == "ev_oracle":
+                    dense = oracle_equivariant(stats, model).matrix
+                    assert close(loss, frobenius_loss(dense, model.precision), loss_atol), row
+                    continue
+                precision_target, covariance_target = matrices[name]
+                if kind == "olse_precision":
+                    dense = bona_fide_olse(stats, precision_target)
+                elif kind == "olse_precision_oracle":
+                    oracle = oracle_olse_lt1 if p < n else oracle_olse_gt1
+                    dense = oracle(stats, model, precision_target)
+                else:
+                    dense = olse_covariance(stats, covariance_target)
+                alpha, beta = result.weights[row]
+                assert close(alpha, dense.weights.alpha, 1e-14), row
+                assert close(beta, dense.weights.beta, 0.0), row
+                # The loss at the row's own weights: a near-zero alpha that
+                # cancels may differ in its last bits between the two routes.
+                if kind == "olse_cov_inv":
+                    sigma_hat = alpha * stats.matrix + beta * covariance_target.matrix
+                    estimate = np.linalg.inv(sigma_hat)
+                else:
+                    estimate = alpha * stats.inverse + beta * precision_target.matrix
+                assert close(loss, frobenius_loss(estimate, model.precision), loss_atol), row
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_identity_truth_losses_stay_nonnegative(self, ratio):
+        # With Sigma = I the ev_oracle and scalar-target covariance losses are
+        # pure rounding; a loss that came out negative would raise here.
+        config = small_config(spectrum=SpectrumSpec.identity(), ratio=ratio, p_grid=(30,),
+                              estimators=("ev_oracle", "olse_cov_inv"), replications=8)
+        report, results = run_grid_point(config, 30)
+        assert [entry.status for entry in report.summaries] == ["ok"] * 3
+        for result in results:
+            assert 0.0 <= result.losses["ev_oracle"] < 1e-20
+            assert result.losses["olse_cov_inv[identity_over_p]"] >= 0.0
 
 
 class TestConfigValidation:
