@@ -225,28 +225,39 @@ def pinv_bilinear_limit(
     return float((eta * _pinv_equivalent_diagonal(truth, *_dual_roots(truth, ratio))) @ xi)
 
 
+def _limit_weights(
+    truth: CovarianceModel, target: TargetMatrix, equivalent: np.ndarray, inv_frobenius_eq: float
+) -> ShrinkageWeights:
+    """Oracle normal equations fed the diagonal ``equivalent`` of the sample
+    (pseudo-)inverse's deterministic equivalent and its squared norm limit.
+
+    Sigma is diagonal, so each trace reads only the target's diagonal. At
+    ``T = inv(Sigma)`` the paired traces are equal floats: weights exactly (0, 1).
+    """
+    if target.matrix.shape != (truth.p, truth.p):
+        raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.matrix.shape}")
+    precision = 1.0 / truth.eigenvalues
+    theta = np.diagonal(target.matrix)
+    return ShrinkageWeights(*optimal_weights_from_functionals(
+        trace_product(equivalent, precision), trace_product(precision, theta),
+        trace_product(equivalent, theta), inv_frobenius_eq, target.frobenius_sq))
+
+
 def limit_weights_lt1(
     truth: CovarianceModel, target: TargetMatrix, ratio: float
 ) -> ShrinkageWeights:
     """Almost-sure limits of the oracle shrinkage weights for ratio in (0, 1).
 
-    Obtained by substituting the deterministic equivalents of the sample
-    inverse functionals into the oracle normal equations. alpha always lands
-    in (0, 1 - ratio) and beta stays positive for non-degenerate targets.
+    The deterministic equivalent of inv(S) is inv(Sigma) / (1 - ratio). alpha
+    always lands in (0, 1 - ratio) and beta stays positive for non-degenerate
+    targets.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    p = truth.p
     f = truth.precision_frobenius_sq
     t = truth.precision_trace_norm
-    b = trace_product(truth.precision, target.matrix)
-    inv_truth_eq = f / (1.0 - ratio)
-    inv_target_eq = b / (1.0 - ratio)
-    inv_frobenius_eq = f / (1.0 - ratio) ** 2 + ratio * t**2 / (p * (1.0 - ratio) ** 3)
-    alpha, beta = optimal_weights_from_functionals(
-        inv_truth_eq, b, inv_target_eq, inv_frobenius_eq, target.frobenius_sq
-    )
-    return ShrinkageWeights(alpha, beta)
+    inv_frobenius_eq = f / (1.0 - ratio) ** 2 + ratio * t**2 / (truth.p * (1.0 - ratio) ** 3)
+    return _limit_weights(truth, target, 1.0 / truth.eigenvalues / (1.0 - ratio), inv_frobenius_eq)
 
 
 def limit_weights_gt1(
@@ -261,21 +272,9 @@ def limit_weights_gt1(
     equals the true precision.
     """
     _require_gt1(ratio, "limit_weights_gt1")
-    return _limit_weights_gt1(truth, target, ratio, *_dual_roots(truth, ratio))
-
-
-def _limit_weights_gt1(
-    truth: CovarianceModel, target: TargetMatrix, ratio: float, x: float, x_prime: float
-) -> ShrinkageWeights:
+    x, x_prime = _dual_roots(truth, ratio)
     equivalent = _pinv_equivalent_diagonal(truth, x, x_prime)
-    inv_truth_eq = float(np.sum(equivalent * np.diagonal(truth.precision)))
-    inv_target_eq = float(np.sum(equivalent * np.diagonal(target.matrix)))
-    inv_frobenius_eq = truth.p / ratio * x_prime
-    b = trace_product(truth.precision, target.matrix)
-    alpha, beta = optimal_weights_from_functionals(
-        inv_truth_eq, b, inv_target_eq, inv_frobenius_eq, target.frobenius_sq
-    )
-    return ShrinkageWeights(alpha, beta)
+    return _limit_weights(truth, target, equivalent, truth.p / ratio * x_prime)
 
 
 def compute_limit_functionals(
@@ -318,7 +317,8 @@ def compute_limit_functionals(
         target_dual = target_info.value
         residuals["target_dual_trace"] = target_info.residual
         iterations["target_dual_trace"] = target_info.iterations
-        weights = _limit_weights_gt1(truth, target, ratio, trace_info.value, x_prime)
+        equivalent = _pinv_equivalent_diagonal(truth, trace_info.value, x_prime)
+        weights = _limit_weights(truth, target, equivalent, truth.p / ratio * x_prime)
         alpha, beta = weights.alpha, weights.beta
     return LimitFunctionals(
         ratio=ratio,

@@ -204,12 +204,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NumericError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:  # ConfigError and RegimeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 def console_main() -> None:

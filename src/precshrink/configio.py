@@ -53,14 +53,15 @@ RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 class _Loader(yaml.SafeLoader):
-    """Safe YAML loader that reads a plain ``1e-3`` as a float, as JSON and
-    YAML 1.2 do; YAML 1.1 reads an exponent without a dot as a string."""
+    """Safe YAML loader that reads ``1e-3``, ``2.5e3`` and ``1.0e300`` as
+    floats, as JSON and YAML 1.2 do; YAML 1.1 reads a number with an exponent
+    but no dot, or with a dot and an unsigned exponent, as a string."""
 
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"),
-    list("-+0123456789"),
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
 )
 
 

@@ -8,6 +8,7 @@ benchmark. All operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.linalg.lapack
 from .errors import (
     DegenerateTargetError,
     NearSingularRegimeError,
+    NumericError,
     RegimeError,
     SingularMatrixError,
 )
@@ -73,21 +75,18 @@ class TargetMatrix:
         diagonal = np.diagonal(m)
         if np.count_nonzero(m) == np.count_nonzero(diagonal):  # off-diagonal all zero
             smallest = np.min(diagonal)
+            norm_sq = frobenius_sq(diagonal)
         else:
             diagonal = None
             if not is_symmetric(m):
                 raise ValueError("target matrix must be symmetric (within 1e-12)")
             smallest = np.linalg.eigvalsh(m)[0]
+            norm_sq = frobenius_sq(m)
         if smallest <= 0.0:
             raise ValueError(
                 f"target matrix must be positive definite (min eigenvalue {smallest:.3e})"
             )
-        return cls(
-            matrix=m,
-            frobenius_sq=frobenius_sq(m),
-            name=name,
-            diagonal=diagonal,
-        )
+        return cls(matrix=m, frobenius_sq=norm_sq, name=name, diagonal=diagonal)
 
     @classmethod
     def identity_over_p(cls, p: int) -> "TargetMatrix":
@@ -145,9 +144,15 @@ def hessian_determinant(inv_frobenius_sq: float, target_frobenius_sq: float, cro
 
     Raises :class:`DegenerateTargetError` when the target is numerically
     proportional to the sample inverse (determinant below the relative
-    threshold), since the optimum is then ill-defined.
+    threshold), since the optimum is then ill-defined, and
+    :class:`NumericError` when the determinant overflows.
     """
-    det = inv_frobenius_sq * target_frobenius_sq - cross_trace**2
+    det = inv_frobenius_sq * target_frobenius_sq - cross_trace * cross_trace
+    if not math.isfinite(det):
+        raise NumericError(
+            f"Hessian determinant of the shrinkage weights overflows (squared norms "
+            f"{inv_frobenius_sq:.3e} and {target_frobenius_sq:.3e})"
+        )
     if det <= DEGENERACY_RTOL * inv_frobenius_sq * target_frobenius_sq:
         raise DegenerateTargetError(
             "shrinkage target is numerically proportional to the sample inverse; "
@@ -178,10 +183,11 @@ def optimal_weights_from_functionals(
 def _oracle_olse(
     stats: SampleStats, truth: CovarianceModel, target: TargetMatrix
 ) -> PrecisionEstimate:
-    _check_dims(stats.p, truth.precision, "truth")
+    if truth.p != stats.p:
+        raise ValueError(f"truth has dimension {truth.p}, expected {stats.p}")
     _check_dims(stats.p, target.matrix, "target")
     a = trace_product(stats.inverse, truth.precision)
-    b = trace_product(truth.precision, target.matrix)
+    b = trace_product(1.0 / truth.eigenvalues, np.diagonal(target.matrix))
     c = trace_product(stats.inverse, target.matrix)
     alpha, beta = optimal_weights_from_functionals(
         a, b, c, stats.inverse_frobenius_sq, target.frobenius_sq
@@ -358,7 +364,8 @@ def oracle_equivariant(stats: SampleStats, truth: CovarianceModel) -> PrecisionE
     loss. Needs the truth, so it is an oracle benchmark. Valid in both
     regimes.
     """
-    _check_dims(stats.p, truth.precision, "truth")
+    if truth.p != stats.p:
+        raise ValueError(f"truth has dimension {truth.p}, expected {stats.p}")
     u = stats.eigenvectors
     rotated_diag = np.einsum("ij,ij->j", u, (1.0 / truth.eigenvalues)[:, None] * u)
     matrix = symmetrize((u * rotated_diag) @ u.T)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import NumericError, SingularMatrixError
 
 REGIME_INVERTIBLE = "invertible"
 REGIME_PSEUDO = "pseudo"
@@ -79,8 +79,18 @@ def use_single_threaded_blas() -> None:
 
 
 def frobenius_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm, sum of squared entries."""
-    return float(np.sum(a * a))
+    """Squared Frobenius norm, sum of squared entries.
+
+    Raises :class:`NumericError` when the sum overflows, so that no weight or
+    loss is computed from an infinite norm.
+    """
+    with np.errstate(over="ignore"):
+        value = float(np.sum(a * a))
+    if value == np.inf:
+        raise NumericError(
+            f"squared Frobenius norm overflows (largest magnitude {float(np.max(np.abs(a))):.3e})"
+        )
+    return value
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -129,25 +139,34 @@ class SampleStats:
     ``eigenvalues`` are ascending, ``eigenvectors`` holds the matching
     orthonormal eigenvectors as columns. ``inverse_eigenvalues`` are their
     reciprocals, with 0 for every eigenvalue at or below the rank tolerance
-    in the pseudo-inverse regime (p >= n), so ``U diag(inverse_eigenvalues) U'``
-    is the plain inverse when p < n and the Moore-Penrose pseudo-inverse
-    otherwise. That dense ``p x p`` matrix, ``inverse``, is formed on first
-    access only; the norms below come from the eigenvalues. Instances are
+    (there is none when p < n), so ``U diag(inverse_eigenvalues) U'`` is the
+    plain inverse when p < n and the Moore-Penrose pseudo-inverse otherwise.
+    That dense ``p x p`` matrix, ``inverse``, is formed on first access only;
+    the norms below come from the inverse eigenvalues. Instances are
     immutable and safe to share across threads.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    regime: str
     inverse_eigenvalues: np.ndarray
-    inverse_trace_norm: float
-    p: int
     n: int
+
+    @property
+    def p(self) -> int:
+        return self.eigenvalues.size
 
     @property
     def ratio(self) -> float:
         return self.p / self.n
+
+    @property
+    def regime(self) -> str:
+        return REGIME_INVERTIBLE if self.p < self.n else REGIME_PSEUDO
+
+    @property
+    def inverse_trace_norm(self) -> float:
+        return float(np.sum(self.inverse_eigenvalues))
 
     @property
     def inverse_frobenius_sq(self) -> float:
@@ -174,48 +193,43 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
     No mean subtraction is performed unless ``center`` is set; centering is a
     convenience for real data and keeps the 1/n normalization.
 
-    The regime is ``invertible`` iff p < n and the smallest eigenvalue clears
-    the rank tolerance; p >= n always yields the ``pseudo`` regime.  A rank
-    deficient S with p < n raises :class:`SingularMatrixError` rather than
-    silently falling back to the pseudo-inverse.
+    The regime is ``invertible`` iff p < n; p >= n yields the ``pseudo``
+    regime. A rank deficient S with p < n raises :class:`SingularMatrixError`
+    rather than silently falling back to the pseudo-inverse, and data whose
+    Gram matrix overflows raises :class:`NumericError`.
+
+    ``y @ y.T`` is formed by a symmetric rank-k update that mirrors one
+    triangle, so S is exactly symmetric without a symmetrizing pass. Data
+    whose columns are not unit-strided is copied first: numpy would form its
+    product by a general routine that does not mirror.
     """
     if not isinstance(data, DataMatrix):
         data = DataMatrix(np.asarray(data, dtype=float))
-    y = data.values
-    if center:
-        y = y - y.mean(axis=1, keepdims=True)
+    y = data.values if data.values.flags.forc else np.ascontiguousarray(data.values)
     p, n = data.p, data.n
-    s = symmetrize((y @ y.T) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center:
+            y = y - y.mean(axis=1, keepdims=True)
+        s = (y @ y.T) / n
+    if not np.all(np.isfinite(s)):
+        raise NumericError(
+            f"sample covariance overflows (largest data magnitude "
+            f"{float(np.max(np.abs(data.values))):.3e})"
+        )
     eigenvalues, eigenvectors = np.linalg.eigh(s)
     tol = rank_tolerance(eigenvalues, p)
-    if p < n:
-        if eigenvalues[0] <= tol:
-            raise SingularMatrixError(
-                f"sample covariance is numerically singular (min eigenvalue "
-                f"{eigenvalues[0]:.3e} <= tolerance {tol:.3e}) although p={p} < n={n}"
-            )
-        regime = REGIME_INVERTIBLE
-        inverse_eigenvalues = 1.0 / eigenvalues
-        trace_norm = float(np.sum(inverse_eigenvalues))
-    else:
-        regime = REGIME_PSEUDO
-        positive = eigenvalues > tol
-        if not np.any(positive):
-            warnings.warn(
-                "all eigenvalues below rank tolerance; pseudo-inverse is degenerate "
-                "(zero matrix)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        inverse_eigenvalues = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
-        trace_norm = float(np.sum(1.0 / eigenvalues[positive]))
-    return SampleStats(
-        matrix=s,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        regime=regime,
-        inverse_eigenvalues=inverse_eigenvalues,
-        inverse_trace_norm=trace_norm,
-        p=p,
-        n=n,
-    )
+    positive = eigenvalues > tol
+    if p < n and not positive[0]:
+        raise SingularMatrixError(
+            f"sample covariance is numerically singular (min eigenvalue "
+            f"{eigenvalues[0]:.3e} <= tolerance {tol:.3e}) although p={p} < n={n}"
+        )
+    if not np.any(positive):
+        warnings.warn(
+            "all eigenvalues below rank tolerance; pseudo-inverse is degenerate "
+            "(zero matrix)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    inverse_eigenvalues = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
+    return SampleStats(s, eigenvalues, eigenvectors, inverse_eigenvalues, n)

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NumericError
 from .estimators import (
     EV_ORACLE,
     NEAR_SINGULAR_RATIO,
@@ -174,7 +175,7 @@ class ReplicationResult:
     def __post_init__(self):
         for key, value in self.losses.items():
             if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"loss for {key!r} must be finite and nonnegative")
+                raise NumericError(f"loss for {key!r} must be finite and nonnegative, got {value!r}")
 
 
 def replication_rng(seed: int, p: int, replication: int) -> np.random.Generator:

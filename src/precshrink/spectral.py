@@ -100,21 +100,30 @@ def realize_eigenvalues(spec: SpectrumSpec, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Diagonal population covariance with cached precision and norms.
+    """Diagonal population covariance, defined by its eigenvalues alone.
 
-    The model is diagonal in the standard basis: the ascending ``eigenvalues``
-    are its diagonal, and ``precision`` is the dense ``diag(1 / eigenvalues)``.
+    The ascending ``eigenvalues`` are its diagonal in the standard basis. The
+    precision ``diag(1 / eigenvalues)`` and its norms are derived on access.
     Immutable after construction.
     """
 
     eigenvalues: np.ndarray
-    precision: np.ndarray
-    precision_frobenius_sq: float
-    precision_trace_norm: float
 
     @property
     def p(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def precision(self) -> np.ndarray:
+        return np.diag(1.0 / self.eigenvalues)
+
+    @property
+    def precision_frobenius_sq(self) -> float:
+        return frobenius_sq(1.0 / self.eigenvalues)
+
+    @property
+    def precision_trace_norm(self) -> float:
+        return float(np.sum(1.0 / self.eigenvalues))
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues) -> "CovarianceModel":
@@ -124,13 +133,7 @@ class CovarianceModel:
         if np.any(tau <= 0.0) or not np.all(np.isfinite(tau)):
             raise ValueError("covariance eigenvalues must be finite and positive")
         _require_finite_reciprocal(tau, "covariance")
-        precision = np.diag(1.0 / tau)
-        return cls(
-            eigenvalues=tau,
-            precision=precision,
-            precision_frobenius_sq=frobenius_sq(precision),
-            precision_trace_norm=float(np.trace(precision)),
-        )
+        return cls(tau)
 
     @classmethod
     def isotropic(cls, p: int, scale: float) -> "CovarianceModel":

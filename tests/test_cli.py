@@ -1,5 +1,7 @@
 """CLI subcommands, config files, result CSVs, exit codes."""
 
+import dataclasses
+import math
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from precshrink import CovarianceModel, generate_data, replication_rng, DistributionSpec
+from precshrink import TargetMatrix, bona_fide_olse, configio, sample_covariance, simulation
 from precshrink.cli import main
 from precshrink.configio import read_results
 
@@ -205,6 +208,92 @@ distribution: {kind: student_t, df: 1e1}
         assert [(row.n, row.distribution) for row in read_results(str(out))] == [
             (80, "student_t(df=10)")]
 
+    def test_exponents_with_fraction_accepted(self, tmp_path, capsys):
+        # YAML 1.1 alone reads a fraction with an unsigned exponent as a string.
+        spec = tmp_path / "s.json"
+        spec.write_text('[{"weight": 1.0, "eigenvalue": 2.5e3}]')
+        assert configio.load_spectrum(str(spec)).atoms == ((1.0, 2500.0),)
+        assert main(["limits", "--spectrum", str(spec), "--ratio", "0.5"]) == 0
+        assert "inverse_frobenius_limit=" in capsys.readouterr().out
+        spec.write_text('[{"weight": 1.0, "eigenvalue": 1.0e300}]')
+        assert configio.load_spectrum(str(spec)).atoms == ((1.0, 1e300),)
+        config = tmp_path / "exp.yaml"
+        body = """
+spectrum: [{{weight: 1.0, eigenvalue: 2.0}}]
+ratio: {ratio}
+p_grid: [33]
+replications: 2
+seed: 3
+estimators: [sample_inv]
+"""
+        config.write_text(body.format(ratio="3.3e-1"))
+        out = tmp_path / "exp.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 0
+        assert [(row.ratio, row.n) for row in read_results(str(out))] == [(0.33, 100)]
+        config.write_text(body.format(ratio="-4.5E-2"))
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        assert "ratio must be finite and positive, got -0.045" in capsys.readouterr().err
+
+    def test_config_target_mapping_and_true_precision(self, tmp_path):
+        config = tmp_path / "exp.yaml"
+        config.write_text(
+            """
+spectrum: threeblock
+targets:
+  - true_precision
+  - {name: mine, cov_spectrum: [{weight: 1.0, eigenvalue: 2.0}]}
+ratio: 0.25
+p_grid: [12]
+replications: 3
+seed: 5
+estimators: [sample_inv, olse_precision_oracle]
+"""
+        )
+        out = tmp_path / "targets.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 0
+        rows = {row.estimator_id: row for row in read_results(str(out))}
+        assert set(rows) == {"sample_inv", "olse_precision_oracle[true_precision]",
+                             "olse_precision_oracle[mine]"}
+        exact = rows["olse_precision_oracle[true_precision]"]
+        assert (exact.mean_alpha, exact.mean_beta, exact.mean_loss) == (0.0, 1.0, 0.0)
+        assert rows["olse_precision_oracle[mine]"].mean_loss > 0.0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_spectrum_exit_3(self, tmp_path, capsys, threads):
+        config = tmp_path / "huge.yaml"
+        config.write_text(
+            """
+spectrum: [{weight: 1.0, eigenvalue: 1.0e+160}]
+ratio: 0.5
+p_grid: [10]
+replications: 2
+seed: 1
+estimators: [olse_cov_inv]
+"""
+        )
+        out = tmp_path / "huge.csv"
+        assert main(["simulate", str(config), "--threads", threads, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and "overflows" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_loss_exit_3(self, tmp_path, capsys, monkeypatch):
+        broken = dataclasses.replace(simulation._ESTIMATORS["sample_inv"],
+                                     run=lambda spectra, row: (math.nan, None))
+        monkeypatch.setitem(simulation._ESTIMATORS, "sample_inv", broken)
+        assert main(["simulate", "fig1", "--reps", "1", "--p-grid", "10", "--seed", "1",
+                     "--out", str(tmp_path / "nan.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: loss for 'sample_inv' must be finite")
+
+    @pytest.mark.parametrize("grid", ["10,x", ",", "1.5"])
+    def test_invalid_p_grid_exit_2(self, tmp_path, capsys, grid):
+        assert main(["simulate", "fig1", "--reps", "1", "--p-grid", grid,
+                     "--out", str(tmp_path / "grid.csv")]) == 2
+        assert "invalid --p-grid" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_nan_ratio_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.yaml"
         config.write_text(
@@ -357,6 +446,38 @@ class TestEstimate:
         assert main(["estimate", str(data), "--target", f"inverse-of:{spec}",
                      "--out", str(tmp_path / "t.csv")]) == 0
 
+    def test_target_spectrum_is_the_precision_target(self, tmp_path, capsys):
+        data = write_gaussian_csv(tmp_path / "data.csv", 10, 200, seed=6)
+        spec = tmp_path / "spec.json"
+        spec.write_text('[{"weight": 0.5, "eigenvalue": 1.0}, {"weight": 0.5, "eigenvalue": 4.0}]')
+        out = tmp_path / "t.csv"
+        assert main(["estimate", str(data), "--target", str(spec), "--out", str(out)]) == 0
+        assert f"target={spec} " in capsys.readouterr().out
+        expected = bona_fide_olse(sample_covariance(np.loadtxt(data, delimiter=",")),
+                                  TargetMatrix.from_spectrum(configio.load_spectrum(str(spec)), 10))
+        np.testing.assert_array_equal(np.loadtxt(out, delimiter=","), expected.matrix)
+
+    def test_overflowing_data_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        np.savetxt(path, 1e160 * np.random.default_rng(4).uniform(1.0, 2.0, size=(5, 20)),
+                   delimiter=",")
+        out = tmp_path / "huge.precision.csv"
+        assert main(["estimate", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: sample covariance overflows")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_eigensolver_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError subclasses ValueError, which would read as exit 2.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        data = write_gaussian_csv(tmp_path / "data.csv", 10, 200, seed=1)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["estimate", str(data), "--out", str(tmp_path / "e.csv")]) == 3
+        assert capsys.readouterr().err == "numeric failure: Eigenvalues did not converge\n"
+
     def test_ragged_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2,3\n4,5\n")
@@ -445,6 +566,25 @@ class TestLimits:
         assert main(["limits", "--spectrum", "threeblock", "--ratio", "1.5", "--p", "300",
                      "--target", "inverse-of:prior2"]) == 0
         assert "target_dual_trace_limit=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ratio", ["0.5", "1.5"])
+    @pytest.mark.parametrize("p", ["300", "1000"])
+    def test_true_precision_weights_are_exactly_zero_and_one(self, capsys, ratio, p):
+        assert main(["limits", "--spectrum", "threeblock", "--ratio", ratio, "--p", p,
+                     "--target", "true_precision"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["alpha=0", "beta=1"]
+
+    def test_diagonal_target_never_builds_precision(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("dense precision built")
+
+        monkeypatch.setattr(CovarianceModel, "precision", property(refuse))
+        for ratio in ("0.5", "1.5"):
+            for target in ("identity_over_p", "inverse-of:prior2", "prior2"):
+                assert main(["limits", "--spectrum", "threeblock", "--ratio", ratio,
+                             "--p", "300", "--target", target]) == 0
+                assert "beta=" in capsys.readouterr().out
 
     def test_spectrum_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"

@@ -7,6 +7,7 @@ from precshrink import (
     CovarianceModel,
     DegenerateTargetError,
     NearSingularRegimeError,
+    NumericError,
     RegimeError,
     SingularMatrixError,
     TargetMatrix,
@@ -22,7 +23,11 @@ from precshrink import (
     sample_covariance,
     trace_precision_estimate,
 )
-from precshrink.estimators import _symmetric_inverse, optimal_weights_from_functionals
+from precshrink.estimators import (
+    _symmetric_inverse,
+    hessian_determinant,
+    optimal_weights_from_functionals,
+)
 from precshrink.linalg import symmetrize
 from precshrink.simulation import THREE_BLOCK
 
@@ -206,6 +211,10 @@ class TestOracleOlse:
             det = stats.inverse_frobenius_sq * target.frobenius_sq
             det -= np.sum(stats.inverse * target.matrix) ** 2
             assert det > 0.0
+
+    def test_overflowing_determinant_is_numeric_error(self):
+        with pytest.raises(NumericError, match="Hessian determinant .* overflows"):
+            hessian_determinant(1e200, 1e200, 1e200)
 
 
 class TestConsistentFunctionals:

@@ -1,5 +1,6 @@
 """Sample covariance, eigendecomposition, pseudo-inverse and the BLAS pin."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from precshrink import DataMatrix, SingularMatrixError, sample_covariance
-from precshrink.linalg import REGIME_INVERTIBLE, REGIME_PSEUDO, rank_tolerance
+from precshrink import DataMatrix, NumericError, SingularMatrixError, sample_covariance
+from precshrink.linalg import (
+    REGIME_INVERTIBLE,
+    REGIME_PSEUDO,
+    SampleStats,
+    frobenius_sq,
+    rank_tolerance,
+)
 from precshrink.simulation import usable_cpus
 
 
@@ -111,6 +118,39 @@ class TestSampleCovariance:
         stats = sample_covariance(rng.standard_normal((5, 30)))
         np.testing.assert_allclose(stats.inverse_frobenius_sq, np.sum(stats.inverse**2), rtol=1e-12)
         np.testing.assert_allclose(stats.inverse_trace_norm, np.trace(stats.inverse), rtol=1e-10)
+
+    def test_pseudo_inverse_norms(self):
+        stats = sample_covariance(np.random.default_rng(7).standard_normal((30, 5)))
+        np.testing.assert_allclose(stats.inverse_frobenius_sq, np.sum(stats.inverse**2), rtol=1e-12)
+        np.testing.assert_allclose(stats.inverse_trace_norm, np.trace(stats.inverse), rtol=1e-10)
+
+    def test_stores_defining_arrays_only(self):
+        assert [field.name for field in dataclasses.fields(SampleStats)] == [
+            "matrix", "eigenvalues", "eigenvectors", "inverse_eigenvalues", "n"]
+
+    @pytest.mark.parametrize("p, n", [(250, 500), (300, 100)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_matrix_exactly_symmetric(self, p, n, layout, center):
+        # S is used as formed: no pass symmetrizes it.
+        rng = np.random.default_rng(p)
+        y = rng.standard_normal((p, 2 * n)) * rng.uniform(0.1, 10.0, size=(p, 1))
+        y = {"C": np.ascontiguousarray(y[:, :n]), "F": np.asfortranarray(y[:, :n]),
+             "strided": y[:, ::2]}[layout]
+        s = sample_covariance(y, center=center).matrix
+        np.testing.assert_array_equal(s, s.T)
+
+    def test_overflowing_gram_is_numeric_error(self):
+        y = 1e160 * np.random.default_rng(9).uniform(1.0, 2.0, size=(3, 10))
+        with pytest.raises(NumericError, match="sample covariance overflows"):
+            sample_covariance(y)
+        with pytest.raises(NumericError, match="sample covariance overflows"):
+            sample_covariance(y, center=True)
+
+    def test_overflowing_squared_norm_is_numeric_error(self):
+        assert frobenius_sq(np.array([3.0, 4.0])) == 25.0
+        with pytest.raises(NumericError, match="squared Frobenius norm overflows"):
+            frobenius_sq(np.array([1e160, 1.0]))
 
 
 class TestPseudoInverse:

@@ -1,5 +1,7 @@
 """Spectrum specs, apportionment, and covariance model construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,11 @@ class TestBuildCovariance:
             CovarianceModel.from_eigenvalues([1.0, 1e-310])
         with pytest.raises(ValueError, match="too small"):
             CovarianceModel.from_eigenvalues([RECIPROCAL_FLOOR])
+
+    def test_stores_eigenvalues_only(self):
+        model = build_covariance(THREE_BLOCK, 10)
+        assert [field.name for field in dataclasses.fields(model)] == ["eigenvalues"]
+        np.testing.assert_array_equal(model.precision, np.diag(1.0 / model.eigenvalues))
 
     def test_isotropic_constructor(self):
         model = CovarianceModel.isotropic(4, 2.0)
