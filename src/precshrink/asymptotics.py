@@ -10,7 +10,7 @@ both regimes are assembled from these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +39,16 @@ class LimitFunctionals:
     """Bundle of limit quantities for one (spectrum, ratio) pair.
 
     For ratio < 1 only ``inverse_frobenius`` is set; for ratio > 1 the dual
-    fixed-point quantities are set instead. ``alpha``/``beta`` are present
-    when a target was supplied.
+    trace root ``dual`` and its curvature factor ``dual_frobenius`` instead. A
+    target adds ``weights`` and, for ratio > 1, the weighted root ``target_dual``.
     """
 
     ratio: float
     inverse_frobenius: float | None = None
-    dual_trace: float | None = None
+    dual: RootInfo | None = None
     dual_frobenius: float | None = None
-    target_dual_trace: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    residuals: dict = field(default_factory=dict)
-    iterations: dict = field(default_factory=dict)
+    target_dual: RootInfo | None = None
+    weights: ShrinkageWeights | None = None
 
 
 def _self_consistent_rhs(x: float, d: np.ndarray, ratio: float, p: int) -> float:
@@ -97,6 +94,11 @@ def _require_gt1(ratio: float, op: str) -> None:
         raise ValueError(f"{op} requires a concentration ratio above 1, got {ratio}")
 
 
+def _inverse_frobenius_lt1(second: float, first: float, ratio: float, scale: float) -> float:
+    """Limit of ||inv(S)||^2 from inverse spectral moments (scale 1) or sums (scale p)."""
+    return second / (1.0 - ratio) ** 2 + ratio * first**2 / (scale * (1.0 - ratio) ** 3)
+
+
 def inverse_frobenius_limit(spec: SpectrumSpec, ratio: float) -> float:
     """Limit of (1/p) * squared Frobenius norm of inv(S) for ratio in (0, 1).
 
@@ -107,12 +109,7 @@ def inverse_frobenius_limit(spec: SpectrumSpec, ratio: float) -> float:
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
     m1, m2 = spectral_moments(spec)
-    return m2 / (1.0 - ratio) ** 2 + ratio * m1**2 / (1.0 - ratio) ** 3
-
-
-def _dual_trace_info(truth: CovarianceModel, ratio: float) -> RootInfo:
-    d = 1.0 / truth.eigenvalues
-    return _solve_self_consistent(d, ratio, truth.p)
+    return _inverse_frobenius_lt1(m2, m1, ratio, 1)
 
 
 def dual_inverse_trace_limit(truth: CovarianceModel, ratio: float) -> float:
@@ -122,7 +119,7 @@ def dual_inverse_trace_limit(truth: CovarianceModel, ratio: float) -> float:
     the normalized trace of the inverse dual sample covariance.
     """
     _require_gt1(ratio, "dual_inverse_trace_limit")
-    return _dual_trace_info(truth, ratio).value
+    return _solve_self_consistent(1.0 / truth.eigenvalues, ratio, truth.p).value
 
 
 def dual_inverse_frobenius_limit(
@@ -135,16 +132,12 @@ def dual_inverse_frobenius_limit(
     """
     _require_gt1(ratio, "dual_inverse_frobenius_limit")
     d = 1.0 / truth.eigenvalues
-    p = truth.p
-    if trace_limit is None:
-        x = _dual_trace_info(truth, ratio).value
-    else:
-        x = float(trace_limit)
-        if abs(1.0 / x - _self_consistent_rhs(x, d, ratio, p)) > 1e-8:
-            raise ValueError("trace_limit does not solve its defining equation")
+    x = dual_inverse_trace_limit(truth, ratio) if trace_limit is None else float(trace_limit)
+    if abs(1.0 / x - _self_consistent_rhs(x, d, ratio, truth.p)) > 1e-8:
+        raise ValueError("trace_limit does not solve its defining equation")
     if not np.finfo(float).tiny <= x * x < np.inf:
         raise NumericError(f"dual trace root x={x!r} has no representable square")
-    denominator = 1.0 / x**2 - ratio / p * float(np.sum(1.0 / (d + x) ** 2))
+    denominator = 1.0 / x**2 - ratio / truth.p * float(np.sum(1.0 / (d + x) ** 2))
     if denominator <= 0.0:
         raise ValueError("inconsistent input: nonpositive curvature denominator")
     return 1.0 / denominator
@@ -177,24 +170,24 @@ def weighted_dual_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: 
     return _weighted_dual_info(truth, TargetMatrix.from_matrix(theta), ratio).value
 
 
-def _dual_roots(truth: CovarianceModel, ratio: float) -> tuple[float, float]:
+def _dual_roots(truth: CovarianceModel, ratio: float) -> tuple[RootInfo, float]:
     """The dual trace root x and the curvature factor x', ratio > 1."""
-    x = _dual_trace_info(truth, ratio).value
-    return x, dual_inverse_frobenius_limit(truth, ratio, x)
+    info = _solve_self_consistent(1.0 / truth.eigenvalues, ratio, truth.p)
+    return info, dual_inverse_frobenius_limit(truth, ratio, info.value)
 
 
-def _pinv_equivalent_diagonal(truth: CovarianceModel, x: float, x_prime: float) -> np.ndarray:
+def _pinv_equivalent_diagonal(truth: CovarianceModel, dual: RootInfo, x_prime: float) -> np.ndarray:
     """Diagonal of the deterministic equivalent of pinv(S), ratio > 1.
 
     Expanding the resolvent equivalent of S around zero gives
     tr(theta @ pinv(S)) -> x' * tr[theta (x Sigma + I)^{-1} Sigma (x Sigma + I)^{-1}]
-    with x the dual trace root and x' the curvature factor. The middle matrix
+    with x the ``dual`` trace root and x' the curvature factor. The middle matrix
     is diagonal, so a weighted limit is sum(diagonal * diag(theta)). numpy's
     pairwise sum keeps it as accurate as the dense trace; a BLAS dot product
     moved the limiting weights by up to 2e-13 relative.
     """
     tau = truth.eigenvalues
-    return x_prime * tau / (x * tau + 1.0) ** 2
+    return x_prime * tau / (dual.value * tau + 1.0) ** 2
 
 
 def pinv_weighted_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: float) -> float:
@@ -254,10 +247,17 @@ def limit_weights_lt1(
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    f = truth.precision_frobenius_sq
-    t = truth.precision_trace_norm
-    inv_frobenius_eq = f / (1.0 - ratio) ** 2 + ratio * t**2 / (truth.p * (1.0 - ratio) ** 3)
+    inv_frobenius_eq = _inverse_frobenius_lt1(
+        truth.precision_frobenius_sq, truth.precision_trace_norm, ratio, truth.p)
     return _limit_weights(truth, target, 1.0 / truth.eigenvalues / (1.0 - ratio), inv_frobenius_eq)
+
+
+def _limit_weights_gt1(
+    truth: CovarianceModel, target: TargetMatrix, ratio: float, dual: RootInfo, x_prime: float
+) -> ShrinkageWeights:
+    """Limit weights from the solved dual root and its curvature factor x'."""
+    equivalent = _pinv_equivalent_diagonal(truth, dual, x_prime)
+    return _limit_weights(truth, target, equivalent, truth.p / ratio * x_prime)
 
 
 def limit_weights_gt1(
@@ -272,9 +272,7 @@ def limit_weights_gt1(
     equals the true precision.
     """
     _require_gt1(ratio, "limit_weights_gt1")
-    x, x_prime = _dual_roots(truth, ratio)
-    equivalent = _pinv_equivalent_diagonal(truth, x, x_prime)
-    return _limit_weights(truth, target, equivalent, truth.p / ratio * x_prime)
+    return _limit_weights_gt1(truth, target, ratio, *_dual_roots(truth, ratio))
 
 
 def compute_limit_functionals(
@@ -291,42 +289,16 @@ def compute_limit_functionals(
     """
     if not np.isfinite(ratio) or ratio <= 0.0 or ratio == 1.0:
         raise ValueError(f"ratio must be finite, positive and different from 1, got {ratio}")
-    residuals: dict = {}
-    iterations: dict = {}
     if ratio < 1.0:
-        psi = inverse_frobenius_limit(spec, ratio) if spec is not None else None
-        alpha = beta = None
-        if target is not None:
-            weights = limit_weights_lt1(truth, target, ratio)
-            alpha, beta = weights.alpha, weights.beta
         return LimitFunctionals(
             ratio=ratio,
-            inverse_frobenius=psi,
-            alpha=alpha,
-            beta=beta,
-            residuals=residuals,
-            iterations=iterations,
+            inverse_frobenius=inverse_frobenius_limit(spec, ratio) if spec is not None else None,
+            weights=limit_weights_lt1(truth, target, ratio) if target is not None else None,
         )
-    trace_info = _dual_trace_info(truth, ratio)
-    residuals["dual_trace"] = trace_info.residual
-    iterations["dual_trace"] = trace_info.iterations
-    x_prime = dual_inverse_frobenius_limit(truth, ratio, trace_info.value)
-    target_dual = alpha = beta = None
+    dual, x_prime = _dual_roots(truth, ratio)
+    target_dual = weights = None
     if target is not None:
-        target_info = _weighted_dual_info(truth, target, ratio)
-        target_dual = target_info.value
-        residuals["target_dual_trace"] = target_info.residual
-        iterations["target_dual_trace"] = target_info.iterations
-        equivalent = _pinv_equivalent_diagonal(truth, trace_info.value, x_prime)
-        weights = _limit_weights(truth, target, equivalent, truth.p / ratio * x_prime)
-        alpha, beta = weights.alpha, weights.beta
-    return LimitFunctionals(
-        ratio=ratio,
-        dual_trace=trace_info.value,
-        dual_frobenius=x_prime,
-        target_dual_trace=target_dual,
-        alpha=alpha,
-        beta=beta,
-        residuals=residuals,
-        iterations=iterations,
-    )
+        target_dual = _weighted_dual_info(truth, target, ratio)
+        weights = _limit_weights_gt1(truth, target, ratio, dual, x_prime)
+    return LimitFunctionals(ratio=ratio, dual=dual, dual_frobenius=x_prime,
+                            target_dual=target_dual, weights=weights)

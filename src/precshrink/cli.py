@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import configio
-from .asymptotics import compute_limit_functionals
+from .asymptotics import RootInfo, compute_limit_functionals
 from .errors import ConfigError, NumericError, RegimeError, SingularMatrixError
 from .estimators import TargetMatrix, bona_fide_olse, estimate_isotropic_precision
 from .linalg import REGIME_INVERTIBLE, DataMatrix, rank_tolerance, sample_covariance
@@ -119,6 +119,11 @@ def cmd_estimate(args) -> int:
     )
 
 
+def _print_root(name: str, root: RootInfo) -> None:
+    print(f"{name}={root.value:.17g} "
+          f"(residual={root.residual:.3e}, iterations={root.iterations})")
+
+
 def cmd_limits(args) -> int:
     spec = configio.load_spectrum(args.spectrum)
     truth = build_covariance(spec, args.p)
@@ -132,20 +137,16 @@ def cmd_limits(args) -> int:
     print(f"ratio={limits.ratio:.17g} (evaluated at p={args.p})")
     if limits.inverse_frobenius is not None:
         print(f"inverse_frobenius_limit={limits.inverse_frobenius:.17g}")
-    if limits.dual_trace is not None:
-        print(f"dual_trace_limit={limits.dual_trace:.17g} "
-              f"(residual={limits.residuals['dual_trace']:.3e}, "
-              f"iterations={limits.iterations['dual_trace']})")
+    if limits.dual is not None:
+        _print_root("dual_trace_limit", limits.dual)
         print(f"dual_frobenius_limit={limits.dual_frobenius:.17g}")
-        print(f"pinv_trace_limit={limits.dual_trace / limits.ratio:.17g}")
+        print(f"pinv_trace_limit={limits.dual.value / limits.ratio:.17g}")
         print(f"pinv_frobenius_limit={limits.dual_frobenius / limits.ratio:.17g}")
-    if limits.target_dual_trace is not None:
-        print(f"target_dual_trace_limit={limits.target_dual_trace:.17g} "
-              f"(residual={limits.residuals['target_dual_trace']:.3e}, "
-              f"iterations={limits.iterations['target_dual_trace']})")
-    if limits.alpha is not None:
-        print(f"alpha={limits.alpha:.17g}")
-        print(f"beta={limits.beta:.17g}")
+    if limits.target_dual is not None:
+        _print_root("target_dual_trace_limit", limits.target_dual)
+    if limits.weights is not None:
+        print(f"alpha={limits.weights.alpha:.17g}")
+        print(f"beta={limits.weights.beta:.17g}")
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ from .errors import ConfigError
 from .simulation import (
     GAUSSIAN,
     PRIOR_SPECTRA,
-    STUDENT_T,
     TARGET_IDENTITY,
     TARGET_TRUE_PRECISION,
     THREE_BLOCK,
@@ -116,6 +115,7 @@ def _parse_target(obj) -> TargetSpec:
         missing = {"name", "cov_spectrum"} - set(obj)
         if missing:
             raise ConfigError(f"target mapping is missing keys: {sorted(missing)}")
+        _reject_unknown(obj, {"name", "cov_spectrum"}, "target")
         return TargetSpec.from_cov_spectrum(str(obj["name"]), parse_spectrum(obj["cov_spectrum"]))
     raise ConfigError(f"cannot parse target entry {obj!r}")
 
@@ -131,6 +131,12 @@ def _typed(value, name: str, kind, what: str):
     return value
 
 
+def _reject_unknown(obj: dict, known, what: str) -> None:
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown, key=str)}")
+
+
 def _parse_distribution(obj) -> DistributionSpec:
     if obj is None:
         return DistributionSpec(GAUSSIAN)
@@ -138,19 +144,13 @@ def _parse_distribution(obj) -> DistributionSpec:
         obj = {"kind": obj}
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"distribution must be a mapping with a 'kind' key, got {obj!r}")
-    kind = obj["kind"]
+    _reject_unknown(obj, ("kind", "df", "allow_low_df"), "distribution")
     allow_low_df = _typed(obj.get("allow_low_df", False), "allow_low_df", bool, "true or false")
+    df = float(_typed(obj["df"], "df", _NUMBER, "a number")) if "df" in obj else None
     try:
-        if kind == GAUSSIAN:
-            return DistributionSpec(GAUSSIAN)
-        if kind == STUDENT_T:
-            df = float(_typed(obj["df"], "df", _NUMBER, "a number")) if "df" in obj else None
-            return DistributionSpec(STUDENT_T, degrees_of_freedom=df, allow_low_df=allow_low_df)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
+        return DistributionSpec(obj["kind"], degrees_of_freedom=df, allow_low_df=allow_low_df)
+    except ValueError as exc:
         raise ConfigError(f"invalid distribution {obj!r}: {exc}") from exc
-    raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
 def parse_experiment_config(
@@ -158,6 +158,7 @@ def parse_experiment_config(
 ) -> ExperimentConfig:
     if not isinstance(payload, dict):
         raise ConfigError("experiment config must be a mapping of named fields")
+    _reject_unknown(payload, (f.name for f in fields(ExperimentConfig)), "config")
     required = {"spectrum", "ratio", "p_grid", "replications", "estimators"}
     missing = required - set(payload)
     if missing:

@@ -477,95 +477,34 @@ PRIOR_SPECTRA = {
 def builtin_experiments() -> dict[str, ExperimentConfig]:
     """Named desk-scale benchmark experiments.
 
-    The p grids and replication counts are trimmed for desk runtimes; both
-    can be overridden from the CLI.
+    fig2..fig5 are fig1 with the fields in ``changes`` replaced, which re-runs
+    the config validation. The p grids and replication counts are trimmed for
+    desk runtimes; both can be overridden from the CLI.
     """
-    gaussian = DistributionSpec(GAUSSIAN)
     identity = TargetSpec.identity_over_p()
-    prior2 = TargetSpec.from_cov_spectrum("prior2", PRIOR_SPECTRA["prior2"])
-    full_set = (
-        SAMPLE_INV,
-        OLSE_PRECISION,
-        OLSE_PRECISION_ORACLE,
-        OLSE_COV_INV,
-        EV_ORACLE,
+    fig1 = ExperimentConfig(
+        name="fig1",
+        spectrum=THREE_BLOCK,
+        targets=(identity, TargetSpec.from_cov_spectrum("prior2", PRIOR_SPECTRA["prior2"])),
+        ratio=1.0 / 3.0,
+        p_grid=(60, 120, 180),
+        distribution=DistributionSpec(GAUSSIAN),
+        replications=200,
+        seed=1001,
+        estimators=(SAMPLE_INV, OLSE_PRECISION, OLSE_PRECISION_ORACLE, OLSE_COV_INV, EV_ORACLE),
     )
-    configs = {
-        "fig1": ExperimentConfig(
-            name="fig1",
-            spectrum=THREE_BLOCK,
-            targets=(identity, prior2),
-            ratio=1.0 / 3.0,
-            p_grid=(60, 120, 180),
-            distribution=gaussian,
-            replications=200,
-            seed=1001,
-            estimators=full_set,
-        ),
-        "fig2": ExperimentConfig(
-            name="fig2",
-            spectrum=THREE_BLOCK,
-            targets=(
-                identity,
-                TargetSpec.true_precision(),
-                *(
-                    TargetSpec.from_cov_spectrum(name, spec)
-                    for name, spec in PRIOR_SPECTRA.items()
-                ),
-            ),
-            ratio=1.0 / 3.0,
-            p_grid=(60, 120, 180),
-            distribution=gaussian,
-            replications=200,
-            seed=1002,
-            estimators=(SAMPLE_INV, OLSE_PRECISION, EV_ORACLE),
-        ),
-        "fig3a": ExperimentConfig(
-            name="fig3a",
-            spectrum=THREE_BLOCK,
-            targets=(identity, prior2),
-            ratio=0.5,
-            p_grid=(60, 120, 180),
-            distribution=gaussian,
-            replications=200,
-            seed=1003,
-            estimators=full_set,
-        ),
-        "fig3b": ExperimentConfig(
-            name="fig3b",
-            spectrum=THREE_BLOCK,
-            targets=(identity, prior2),
-            ratio=0.8,
-            p_grid=(40, 80, 160),
-            distribution=gaussian,
-            replications=200,
-            seed=1004,
-            estimators=full_set,
-        ),
-        "fig4": ExperimentConfig(
-            name="fig4",
-            spectrum=THREE_BLOCK,
-            targets=(identity, prior2),
-            ratio=1.0 / 3.0,
-            p_grid=(60, 120, 180),
-            distribution=DistributionSpec(STUDENT_T, degrees_of_freedom=10.0),
-            replications=200,
-            seed=1005,
-            estimators=full_set,
-        ),
-        "fig5": ExperimentConfig(
-            name="fig5",
-            spectrum=THREE_BLOCK,
-            targets=(identity,),
-            ratio=1.5,
-            p_grid=(100, 200),
-            distribution=gaussian,
-            replications=100,
-            seed=1006,
-            estimators=(SAMPLE_PINV, OLSE_PRECISION_ORACLE, OLSE_COV_INV, EV_ORACLE),
-        ),
+    priors = tuple(TargetSpec.from_cov_spectrum(name, spec) for name, spec in PRIOR_SPECTRA.items())
+    changes = {
+        "fig2": dict(targets=(identity, TargetSpec.true_precision(), *priors),
+                     estimators=(SAMPLE_INV, OLSE_PRECISION, EV_ORACLE), seed=1002),
+        "fig3a": dict(ratio=0.5, seed=1003),
+        "fig3b": dict(ratio=0.8, p_grid=(40, 80, 160), seed=1004),
+        "fig4": dict(distribution=DistributionSpec(STUDENT_T, degrees_of_freedom=10.0), seed=1005),
+        "fig5": dict(ratio=1.5, p_grid=(100, 200), replications=100, seed=1006, targets=(identity,),
+                     estimators=(SAMPLE_PINV, OLSE_PRECISION_ORACLE, OLSE_COV_INV, EV_ORACLE)),
     }
-    return configs
+    return {"fig1": fig1, **{name: replace(fig1, name=name, **fields)
+                             for name, fields in changes.items()}}
 
 
 def with_overrides(

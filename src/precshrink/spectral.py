@@ -69,10 +69,15 @@ def _require_finite_reciprocal(values: np.ndarray, what: str) -> None:
 
 
 def spectral_moments(spec: SpectrumSpec) -> tuple[float, float]:
-    """First and second inverse moments of the spectrum: sum w/v, sum w/v^2."""
+    """First and second inverse moments of the spectrum: sum w/v, sum w/v^2.
+
+    A square that overflows gives w/v^2 = 0, which is right: the true value
+    lies below the smallest normal double.
+    """
     w = spec.weights
     v = spec.values
-    return float(np.sum(w / v)), float(np.sum(w / v**2))
+    with np.errstate(over="ignore"):
+        return float(np.sum(w / v)), float(np.sum(w / v**2))
 
 
 def apportion_counts(weights: np.ndarray, p: int) -> np.ndarray:

@@ -252,7 +252,7 @@ class TestWeightedDualTraceLimit:
         congruence = s[:, None] * target.matrix * s[None, :]
         d = np.linalg.eigvalsh(congruence)
         expected = asymptotics._solve_self_consistent(d, ratio, p).value
-        value = compute_limit_functionals(truth, ratio, target=target).target_dual_trace
+        value = compute_limit_functionals(truth, ratio, target=target).target_dual.value
         assert value == pytest.approx(expected, rel=1e-14)
 
 
@@ -424,18 +424,18 @@ class TestLimitFunctionalsBundle:
             truth, 0.5, spec=THREE_BLOCK, target=TargetMatrix.identity_over_p(30)
         )
         assert limits.inverse_frobenius == pytest.approx(inverse_frobenius_limit(THREE_BLOCK, 0.5))
-        assert limits.dual_trace is None
-        assert 0.0 < limits.alpha < 0.5
+        assert limits.dual is None
+        assert 0.0 < limits.weights.alpha < 0.5
 
     def test_high_ratio_branch(self):
         truth = CovarianceModel.isotropic(20, 1.0)
         limits = compute_limit_functionals(
             truth, 2.0, target=TargetMatrix.identity_over_p(20)
         )
-        assert limits.dual_trace == pytest.approx(1.0, rel=1e-10)
+        assert limits.dual.value == pytest.approx(1.0, rel=1e-10)
         assert limits.dual_frobenius == pytest.approx(2.0, rel=1e-10)
-        assert limits.residuals["dual_trace"] < 1e-10
-        assert limits.target_dual_trace is not None
+        assert limits.dual.residual < 1e-10
+        assert limits.target_dual is not None
 
     def test_ratio_one_rejected(self):
         truth = CovarianceModel.isotropic(10, 1.0)
@@ -463,4 +463,4 @@ class TestLimitFunctionalsBundle:
         # One dual trace root and one target-weighted root, nothing solved twice.
         assert len(solved) == 2
         weights = limit_weights_gt1(truth, target, 1.5)
-        assert (limits.alpha, limits.beta) == (weights.alpha, weights.beta)
+        assert (limits.weights.alpha, limits.weights.beta) == (weights.alpha, weights.beta)

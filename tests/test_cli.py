@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from precshrink import CovarianceModel, generate_data, replication_rng, Distribu
 from precshrink import TargetMatrix, bona_fide_olse, configio, sample_covariance, simulation
 from precshrink.cli import main
 from precshrink.configio import read_results
+from precshrink.errors import ConfigError
 
 
 def write_gaussian_csv(path, p, n, seed=0, scale=1.0):
@@ -19,6 +21,21 @@ def write_gaussian_csv(path, p, n, seed=0, scale=1.0):
     data = generate_data(truth, n, DistributionSpec("gaussian"), replication_rng(seed, p, 0))
     np.savetxt(path, data.values, delimiter=",")
     return path
+
+
+def config_text(**overrides):
+    """YAML text of a small valid experiment config with some lines replaced."""
+    fields = {
+        "spectrum": "threeblock",
+        "ratio": "0.25",
+        "p_grid": "[20]",
+        "replications": "2",
+        "seed": "3",
+        "estimators": "[sample_inv, olse_precision]",
+        "targets": "[identity_over_p]",
+        **overrides,
+    }
+    return "".join(f"{k}: {v}\n" for k, v in fields.items())
 
 
 class TestSimulate:
@@ -166,6 +183,25 @@ seed: 1
         config = tmp_path / "typed.yaml"
         config.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
         out = tmp_path / "typed.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"clmap": "true"}, "unknown config fields: ['clmap']"),
+        ({"clamp": "true", "centre": "true", "Seed": "4"},
+         "unknown config fields: ['Seed', 'centre']"),
+        ({"distribution": "{kind: student_t, df: 10, allow_low: true}"},
+         "unknown distribution fields: ['allow_low']"),
+        ({"targets": "[{name: mine, cov_spectrum: [{weight: 1.0, eigenvalue: 2.0}], scale: 2}]"},
+         "unknown target fields: ['scale']"),
+        ({"distribution": "{kind: gaussian, df: 3}"}, "invalid distribution {'kind': 'gaussian', "
+         "'df': 3}: gaussian distribution takes no degrees of freedom"),
+    ])
+    def test_unknown_config_keys_exit_2(self, tmp_path, capsys, overrides, message):
+        config = tmp_path / "keys.yaml"
+        config.write_text(config_text(**overrides))
+        out = tmp_path / "keys.csv"
         assert main(["simulate", str(config), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -382,6 +418,45 @@ estimators: [sample_pinv, olse_precision]
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+class TestRejectedInput:
+    """Malformed configs, spectrum files and data files exit 2 with a message."""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", config_text(p_grid="[]"), "p_grid must not be empty"),
+        ("simulate", config_text(targets="[bogus]"), "unknown target 'bogus'"),
+        ("simulate", config_text(targets="[{name: mine}]"),
+         "target mapping is missing keys: ['cov_spectrum']"),
+        ("simulate", config_text(distribution="student_t"),
+         "student_t requires degrees_of_freedom"),
+        ("simulate", config_text(distribution="{kind: cauchy}"),
+         "unknown distribution kind 'cauchy'"),
+        ("simulate", "spectrum: threeblock\nratio: [0.25\np_grid: [20]\n",
+         "invalid YAML at line 3, column 7"),
+        ("simulate", "- spectrum: threeblock\n", "experiment config must be a mapping"),
+        ("limits", "- {weight: 1.0, eigenvalue: [\n", "invalid YAML/JSON"),
+        ("estimate", "", "empty matrix file"),
+        ("estimate", None, "cannot read matrix"),
+    ])
+    def test_exit_2_with_message(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+        argv = {
+            "simulate": ["simulate", str(path), "--out", str(tmp_path / "out.csv")],
+            "limits": ["limits", "--spectrum", str(path), "--ratio", "0.5"],
+            "estimate": ["estimate", str(path), "--out", str(tmp_path / "out.csv")],
+        }[command]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_result_file_with_wrong_header(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("experiment,p,n\nfig1,10,30\n")
+        with pytest.raises(ConfigError, match="unexpected result header"):
+            read_results(str(path))
+
+
 class TestEstimate:
     def test_invertible_regime(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "data.csv", 10, 200, seed=1)
@@ -591,3 +666,32 @@ class TestLimits:
         spec.write_text("- {weight: 1.0, eigenvalue: 2.0}\n")
         assert main(["limits", "--spectrum", str(spec), "--ratio", "0.5"]) == 0
         assert "inverse_frobenius_limit=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ratio, keys", [
+        ("0.5", ["ratio", "inverse_frobenius_limit", "alpha", "beta"]),
+        ("1.5", ["ratio", "dual_trace_limit", "dual_frobenius_limit", "pinv_trace_limit",
+                 "pinv_frobenius_limit", "target_dual_trace_limit", "alpha", "beta"]),
+    ])
+    def test_output_keys_and_root_lines(self, capsys, ratio, keys):
+        # perfbench/workloads.py::parse_limits reads these lines.
+        assert main(["limits", "--spectrum", "threeblock", "--ratio", ratio, "--p", "60",
+                     "--target", "inverse-of:prior2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("=", 1)[0] for line in lines] == keys
+        roots = [line for line in lines if line.split("=", 1)[0].endswith("dual_trace_limit")]
+        assert len(roots) == (2 if ratio == "1.5" else 0)
+        root_line = r"\w+=\S+ \(residual=\d\.\d{3}e[-+]\d+, iterations=[1-9]\d*\)"
+        assert all(re.fullmatch(root_line, line) for line in roots)
+
+    @pytest.mark.parametrize("target, code", [(None, 0), ("identity_over_p", 3)])
+    def test_eigenvalue_with_overflowing_square(self, tmp_path, capsys, target, code):
+        # 1 / 1e300^2 lies below the smallest normal double: the moment is 0, with no warning.
+        spec = tmp_path / "s.json"
+        spec.write_text('[{"weight": 1.0, "eigenvalue": 1.0e300}]')
+        argv = ["limits", "--spectrum", str(spec), "--ratio", "0.5"]
+        assert main(argv + (["--target", target] if target else [])) == code
+        captured = capsys.readouterr()
+        if target:
+            assert captured.err.startswith("numeric failure: ")
+        else:
+            assert "inverse_frobenius_limit=0\n" in captured.out
