@@ -74,7 +74,7 @@ def parse_spectrum(obj) -> SpectrumSpec:
             raise ConfigError(
                 f"spectrum entry {index}: expected keys 'weight' and 'eigenvalue', got {entry!r}"
             )
-        atoms.append(tuple(_typed(entry[key], f"spectrum entry {index}: {key}", _NUMBER, "a number")
+        atoms.append(tuple(_number(entry[key], f"spectrum entry {index}: {key}")
                            for key in ("weight", "eigenvalue")))
     try:
         return SpectrumSpec(tuple(atoms))
@@ -120,15 +120,19 @@ def _parse_target(obj) -> TargetSpec:
     raise ConfigError(f"cannot parse target entry {obj!r}")
 
 
-_NUMBER = (int, float)
-
-
 def _typed(value, name: str, kind, what: str):
     """Return a config value unchanged if it is a ``kind`` (a type or a tuple
     of types); a bool counts only as a bool, never as a number."""
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(_typed(value, name, (int, float), "a number"))
+    except OverflowError as exc:
+        raise ConfigError(f"{name} must be a number within the float range") from exc
 
 
 def _reject_unknown(obj: dict, known, what: str) -> None:
@@ -146,7 +150,7 @@ def _parse_distribution(obj) -> DistributionSpec:
         raise ConfigError(f"distribution must be a mapping with a 'kind' key, got {obj!r}")
     _reject_unknown(obj, ("kind", "df", "allow_low_df"), "distribution")
     allow_low_df = _typed(obj.get("allow_low_df", False), "allow_low_df", bool, "true or false")
-    df = float(_typed(obj["df"], "df", _NUMBER, "a number")) if "df" in obj else None
+    df = _number(obj["df"], "df") if "df" in obj else None
     try:
         return DistributionSpec(obj["kind"], degrees_of_freedom=df, allow_low_df=allow_low_df)
     except ValueError as exc:
@@ -176,7 +180,7 @@ def parse_experiment_config(
             if isinstance(payload["spectrum"], list)
             else load_spectrum(str(payload["spectrum"])),
             targets=tuple(_parse_target(t) for t in lists["targets"]),
-            ratio=float(_typed(payload["ratio"], "ratio", _NUMBER, "a number")),
+            ratio=_number(payload["ratio"], "ratio"),
             p_grid=tuple(_typed(p, "p_grid entry", int, "an integer") for p in lists["p_grid"]),
             distribution=_parse_distribution(payload.get("distribution")),
             replications=_typed(payload["replications"], "replications", int, "an integer"),
@@ -185,7 +189,7 @@ def parse_experiment_config(
             clamp=_typed(payload.get("clamp", False), "clamp", bool, "true or false"),
             center=_typed(payload.get("center", False), "center", bool, "true or false"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid experiment config: {exc}") from exc

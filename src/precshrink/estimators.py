@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import (
     DegenerateTargetError,
@@ -343,10 +342,14 @@ def _symmetric_inverse(a: np.ndarray) -> np.ndarray:
     of the inverse. Adding the transpose mirrors it, so the result is exactly
     symmetric. A matrix that is not positive definite falls back to ``eigh``
     and raises :class:`SingularMatrixError` when it is numerically singular.
+    The import is local: loading ``scipy.linalg`` takes longer than a whole
+    ``limits`` call, and nothing else in the package needs it.
     """
-    factor, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(a), clean=True)
+    from scipy.linalg import lapack
+
+    factor, info = lapack.dpotrf(np.asarray_chkfinite(a), clean=True)
     if info == 0:
-        upper, info = scipy.linalg.lapack.dpotri(factor, overwrite_c=True)
+        upper, info = lapack.dpotri(factor, overwrite_c=True)
     if info == 0:
         inverse = upper + upper.T
         np.fill_diagonal(inverse, np.diagonal(upper))

@@ -266,24 +266,24 @@ class _Spectra:
 
     def bona_fide(self, row):
         t = row.precision_target
-        alpha, beta = bona_fide_weights(self.stats, frobenius_sq(t),
+        alpha, beta = bona_fide_weights(self.stats, row.precision_target_sq,
                                         float(self.iv @ self.rotated[id(t)]), self.clamp)
         return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
 
     def oracle_olse(self, row):
         t = row.precision_target
         alpha, beta = optimal_weights_from_functionals(
-            float(self.iv @ self.d_pi), trace_product(self.pi, t),
-            float(self.iv @ self.rotated[id(t)]), self.stats.inverse_frobenius_sq, frobenius_sq(t))
+            float(self.iv @ self.d_pi), row.truth_target_trace, float(self.iv @ self.rotated[id(t)]),
+            self.stats.inverse_frobenius_sq, row.precision_target_sq)
         return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
 
     def covariance_inverse(self, row):
         c = row.covariance_target
         stats = self.stats
         lam = stats.eigenvalues
-        alpha, beta = covariance_weights(stats, frobenius_sq(lam), frobenius_sq(c),
+        alpha, beta = covariance_weights(stats, frobenius_sq(lam), row.covariance_target_sq,
                                          trace_product(np.diagonal(stats.matrix), c))
-        if np.all(c == c[0]):  # alpha S + beta c0 I shares the eigenvectors of S
+        if row.scalar_covariance_target:  # alpha S + beta c0 I shares the eigenvectors of S
             shrunk = alpha * lam + beta * c[0]
             if not np.all(shrunk > 0.0):
                 _require_nonsingular(shrunk)
@@ -338,7 +338,8 @@ _ESTIMATORS = {
 class _PlannedEstimator:
     """One output row of a grid point; ``skip_reason`` is None when it runs.
 
-    The targets are the diagonals of the diagonal target matrices.
+    The targets are the diagonals of the diagonal target matrices, ``pi`` that
+    of the truth; a grid point computes each scalar below once, at first read.
     """
 
     row_id: str
@@ -346,6 +347,13 @@ class _PlannedEstimator:
     skip_reason: str | None
     precision_target: np.ndarray | None = None
     covariance_target: np.ndarray | None = None
+    pi: np.ndarray | None = None
+
+    precision_target_sq = cached_property(lambda self: frobenius_sq(self.precision_target))
+    truth_target_trace = cached_property(lambda self: trace_product(self.pi, self.precision_target))
+    covariance_target_sq = cached_property(lambda self: frobenius_sq(self.covariance_target))
+    scalar_covariance_target = cached_property(
+        lambda self: bool(np.all(self.covariance_target == self.covariance_target[0])))
 
 
 def _resolve_targets(spec: TargetSpec, truth: CovarianceModel, pi: np.ndarray):
@@ -378,7 +386,7 @@ def _plan_estimators(
         estimator = _ESTIMATORS[kind]
         reason = estimator.skip_reason(p / n, p < n)
         if estimator.needs_target:
-            plan += [_PlannedEstimator(f"{kind}[{spec.name}]", estimator, reason, *targets)
+            plan += [_PlannedEstimator(f"{kind}[{spec.name}]", estimator, reason, *targets, pi)
                      for spec, *targets in resolved]
         else:
             plan.append(_PlannedEstimator(kind, estimator, reason))

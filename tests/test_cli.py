@@ -1,6 +1,7 @@
 """CLI subcommands, config files, result CSVs, exit codes."""
 
 import dataclasses
+import json
 import math
 import re
 import subprocess
@@ -418,10 +419,26 @@ estimators: [sample_pinv, olse_precision]
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+HUGE_INT = "9" * 400  # an int that no float can hold
+
+
 class TestRejectedInput:
     """Malformed configs, spectrum files and data files exit 2 with a message."""
 
     @pytest.mark.parametrize("command, text, message", [
+        pytest.param("simulate", config_text(ratio=HUGE_INT),
+                     "ratio must be a number within the float range", id="huge-ratio"),
+        pytest.param("simulate", config_text(distribution=f"{{kind: student_t, df: {HUGE_INT}}}"),
+                     "df must be a number within the float range", id="huge-df"),
+        pytest.param("simulate", config_text(spectrum=f"[{{weight: 1.0, eigenvalue: {HUGE_INT}}}]"),
+                     "spectrum entry 0: eigenvalue must be a number within the float range",
+                     id="huge-config-eigenvalue"),
+        pytest.param("limits", f"- {{weight: 1.0, eigenvalue: {HUGE_INT}}}\n",
+                     "spectrum entry 0: eigenvalue must be a number within the float range",
+                     id="huge-spectrum-file-eigenvalue"),
+        pytest.param("simulate", config_text(p_grid=f"[{HUGE_INT}]"),
+                     "invalid experiment config: int too large to convert to float",
+                     id="huge-p"),
         ("simulate", config_text(p_grid="[]"), "p_grid must not be empty"),
         ("simulate", config_text(targets="[bogus]"), "unknown target 'bogus'"),
         ("simulate", config_text(targets="[{name: mine}]"),
@@ -695,3 +712,38 @@ class TestLimits:
             assert captured.err.startswith("numeric failure: ")
         else:
             assert "inverse_frobenius_limit=0\n" in captured.out
+
+
+IMPORT_PROBE = r"""
+import json, sys
+
+import numpy as np
+
+import precshrink
+from precshrink import cli, simulation
+
+loaded = {"import": "scipy.linalg" in sys.modules}
+assert cli.main(["limits", "--spectrum", "threeblock", "--ratio", "1.5", "--p", "300",
+                 "--target", "identity_over_p"]) == 0
+np.savetxt(sys.argv[1], np.random.default_rng(0).standard_normal((20, 60)), delimiter=",")
+assert cli.main(["estimate", sys.argv[1], "--target", "inverse-of:prior2",
+                 "--out", sys.argv[2]]) == 0
+loaded["limits_and_estimate"] = "scipy.linalg" in sys.modules
+config = simulation.with_overrides(simulation.builtin_experiments()["fig1"], replications=2)
+simulation.run_grid_point(config, 12)
+loaded["grid_point"] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+class TestColdStart:
+    def test_scipy_linalg_loads_only_for_the_covariance_inverse(self, tmp_path, child_env):
+        # A fresh process, since this one has imported scipy.linalg long ago.
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "data.csv"),
+             str(tmp_path / "precision.csv")],
+            env=child_env(), capture_output=True, text=True, timeout=120, check=True,
+        )
+        loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        # fig1's olse_cov_inv[prior2] row inverts a dense matrix through LAPACK.
+        assert loaded == {"import": False, "limits_and_estimate": False, "grid_point": True}

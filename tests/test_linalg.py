@@ -225,9 +225,11 @@ linalg.sample_covariance(data)
 np.savetxt(sys.argv[1], data, delimiter=",")
 assert cli.main(["estimate", sys.argv[1], "--out", sys.argv[2]]) == 0
 stages["estimate"] = thread_counts()
+loaded = ["scipy.linalg" in sys.modules]
 config = simulation.builtin_experiments()["fig1"]
 simulation.run_grid_point(simulation.with_overrides(config, replications=2), 12)
 stages["grid_point"] = thread_counts()
+stages["scipy_linalg_loaded"] = loaded + ["scipy.linalg" in sys.modules]
 print(json.dumps(stages))
 """
 
@@ -249,3 +251,5 @@ class TestSingleThreadedBlas:
         assert stages["no_library"] == stages["start"]
         assert stages["estimate"] == stages["start"]
         assert stages["grid_point"] == [1] * len(stages["start"])
+        # The grid point loads scipy.linalg after the pin, and the pin holds.
+        assert stages["scipy_linalg_loaded"] == [False, True]

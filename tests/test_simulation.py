@@ -245,6 +245,15 @@ class TestRunExperiment:
         report = run_experiment(config)[0]
         assert report.summary("sample_inv").prial_percent == 0.0
 
+    def test_rows_compute_only_the_target_scalars_they_read(self):
+        # The squared norm of the precision target 1 / 2e-154 overflows, but
+        # olse_cov_inv reads only the covariance target, so its row still runs.
+        tiny = TargetSpec.from_cov_spectrum("tiny", SpectrumSpec(((1.0, 2e-154),)))
+        config = small_config(estimators=("olse_cov_inv",), targets=(tiny,), p_grid=(15,),
+                              replications=2)
+        report, _ = run_grid_point(config, 15)
+        assert report.summary("olse_cov_inv[tiny]").status == "ok"
+
     def test_replication_forms_no_dense_inverse_or_loss(self, monkeypatch):
         # Every row is scored from eigh(S): no replication evaluates the lazy
         # dense inverse or takes a dense Frobenius loss, in either regime.
