@@ -720,9 +720,10 @@ import json, sys
 import numpy as np
 
 import precshrink
-from precshrink import cli, simulation
 
 loaded = {"import": "scipy.linalg" in sys.modules}
+from precshrink import cli, simulation
+
 assert cli.main(["limits", "--spectrum", "threeblock", "--ratio", "1.5", "--p", "300",
                  "--target", "identity_over_p"]) == 0
 np.savetxt(sys.argv[1], np.random.default_rng(0).standard_normal((20, 60)), delimiter=",")
