@@ -144,8 +144,8 @@ def dual_inverse_frobenius_limit(
 
 
 def _weighted_dual_info(truth: CovarianceModel, target: TargetMatrix, ratio: float) -> RootInfo:
-    if target.matrix.shape != (truth.p, truth.p):
-        raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.matrix.shape}")
+    if target.shape != (truth.p, truth.p):
+        raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.shape}")
     if target.diagonal is not None:
         d = np.sort(target.diagonal / truth.eigenvalues)
     else:
@@ -227,10 +227,10 @@ def _limit_weights(
     Sigma is diagonal, so each trace reads only the target's diagonal. At
     ``T = inv(Sigma)`` the paired traces are equal floats: weights exactly (0, 1).
     """
-    if target.matrix.shape != (truth.p, truth.p):
-        raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.matrix.shape}")
+    if target.shape != (truth.p, truth.p):
+        raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.shape}")
     precision = 1.0 / truth.eigenvalues
-    theta = np.diagonal(target.matrix)
+    theta = target.diagonal if target.diagonal is not None else np.diagonal(target.matrix)
     return ShrinkageWeights(*optimal_weights_from_functionals(
         trace_product(equivalent, precision), trace_product(precision, theta),
         trace_product(equivalent, theta), inv_frobenius_eq, target.frobenius_sq))

@@ -15,7 +15,7 @@ from . import configio
 from .asymptotics import RootInfo, compute_limit_functionals
 from .errors import ConfigError, NumericError, RegimeError, SingularMatrixError
 from .estimators import TargetMatrix, bona_fide_olse, estimate_isotropic_precision
-from .linalg import REGIME_INVERTIBLE, DataMatrix, rank_tolerance, sample_covariance
+from .linalg import DataMatrix, rank_tolerance, sample_covariance
 from .simulation import ExperimentConfig, builtin_experiments, run_experiment, with_overrides
 from .spectral import build_covariance
 
@@ -94,29 +94,28 @@ def cmd_estimate(args) -> int:
             )
     out = args.out or f"{os.path.splitext(args.data)[0]}.precision.csv"
     print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={stats.regime}")
-    if stats.regime == REGIME_INVERTIBLE:
+    if stats.p < stats.n:
         target = _resolve_precision_target(args.target, stats.p)
         estimate = bona_fide_olse(stats, target, clamp=args.clamp)
-        np.savetxt(out, estimate.matrix, delimiter=",", fmt="%.17g")
-        print(f"target={target.name or 'custom'} "
-              f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
-        print(f"precision estimate written to {out}")
-        return EXIT_OK
-    if args.identity_case:
+        result = estimate.matrix
+        message = (f"target={target.name or 'custom'} "
+                   f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
+    elif args.identity_case:
         scale = estimate_isotropic_precision(stats)
-        np.savetxt(out, scale * np.eye(stats.p), delimiter=",", fmt="%.17g")
-        print(f"isotropic precision scale estimate: {scale:.10g}")
-        print(f"precision estimate written to {out}")
-        return EXIT_OK
-    if args.pseudo_inverse:
-        np.savetxt(out, stats.inverse, delimiter=",", fmt="%.17g")
-        print("raw pseudo-inverse written (no shrinkage applies for p >= n)")
-        print(f"precision estimate written to {out}")
-        return EXIT_OK
-    raise RegimeError(
-        "p >= n: no feasible shrinkage estimator exists for a general covariance; "
-        "pass --identity-case (isotropic population) or --pseudo-inverse (raw)"
-    )
+        result = scale * np.eye(stats.p)
+        message = f"isotropic precision scale estimate: {scale:.10g}"
+    elif args.pseudo_inverse:
+        result = stats.inverse
+        message = "raw pseudo-inverse written (no shrinkage applies for p >= n)"
+    else:
+        raise RegimeError(
+            "p >= n: no feasible shrinkage estimator exists for a general covariance; "
+            "pass --identity-case (isotropic population) or --pseudo-inverse (raw)"
+        )
+    np.savetxt(out, result, delimiter=",", fmt="%.17g")
+    print(message)
+    print(f"precision estimate written to {out}")
+    return EXIT_OK
 
 
 def _print_root(name: str, root: RootInfo) -> None:
@@ -128,11 +127,10 @@ def cmd_limits(args) -> int:
     spec = configio.load_spectrum(args.spectrum)
     truth = build_covariance(spec, args.p)
     target = None
-    if args.target:
-        if args.target == "true_precision":
-            target = TargetMatrix.from_matrix(truth.precision, name="true_precision")
-        else:
-            target = _resolve_precision_target(args.target, args.p)
+    if args.target == "true_precision":
+        target = TargetMatrix.from_diagonal(1.0 / truth.eigenvalues, name="true_precision")
+    elif args.target:
+        target = _resolve_precision_target(args.target, args.p)
     limits = compute_limit_functionals(truth, args.ratio, spec=spec, target=target)
     print(f"ratio={limits.ratio:.17g} (evaluated at p={args.p})")
     if limits.inverse_frobenius is not None:

@@ -189,7 +189,7 @@ def parse_experiment_config(
             clamp=_typed(payload.get("clamp", False), "clamp", bool, "true or false"),
             center=_typed(payload.get("center", False), "center", bool, "true or false"),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid experiment config: {exc}") from exc
@@ -254,25 +254,14 @@ def write_results(path: str, rows: list[ResultRow]) -> None:
 
 def read_results(path: str) -> list[ResultRow]:
     """Load a result CSV back into typed rows (lossless float round-trip)."""
-    converters = {f.name: f.type for f in fields(ResultRow)}
-    rows = []
+    types = {"int": int, "float": float, "str": str}
+    converters = {f.name: types[f.type] for f in fields(ResultRow)}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if tuple(reader.fieldnames or ()) != RESULT_FIELDS:
             raise ConfigError(f"{path}: unexpected result header {reader.fieldnames!r}")
-        for record in reader:
-            kwargs = {}
-            for name in RESULT_FIELDS:
-                raw = record[name]
-                kind = converters[name]
-                if kind == "int":
-                    kwargs[name] = int(raw)
-                elif kind == "float":
-                    kwargs[name] = float(raw)
-                else:
-                    kwargs[name] = raw
-            rows.append(ResultRow(**kwargs))
-    return rows
+        return [ResultRow(**{name: convert(record[name]) for name, convert in converters.items()})
+                for record in reader]
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
-    REGIME_INVERTIBLE,
-    REGIME_PSEUDO,
     SampleStats,
     frobenius_sq,
     is_symmetric,
@@ -53,16 +52,34 @@ class ShrinkageWeights:
 
 @dataclass(frozen=True)
 class TargetMatrix:
-    """Symmetric positive definite shrinkage target with cached norms.
+    """Symmetric positive definite shrinkage target, stored as its defining data.
 
-    ``diagonal`` holds the diagonal of a target whose off-diagonal entries
-    are all exactly zero, and is None for a general dense target.
+    ``data`` is the diagonal of a diagonal target, which ``diagonal`` returns
+    (None for a dense target), or the full matrix of a dense one. ``matrix``
+    builds the dense array on each read; the squared norm is computed at first read.
     """
 
-    matrix: np.ndarray
-    frobenius_sq: float
+    data: np.ndarray
     name: str = ""
-    diagonal: np.ndarray | None = None
+
+    diagonal = property(lambda self: self.data if self.data.ndim == 1 else None)
+    shape = property(lambda self: (len(self.data),) * 2)
+    matrix = property(lambda self: np.diag(self.data) if self.data.ndim == 1 else self.data)
+    frobenius_sq = cached_property(lambda self: frobenius_sq(self.data))
+
+    @classmethod
+    def from_diagonal(cls, diagonal: np.ndarray, name: str = "") -> "TargetMatrix":
+        """Diagonal target ``diag(diagonal)``; a float array is stored, not copied."""
+        d = np.asarray(diagonal, dtype=float)
+        if d.ndim != 1 or d.size == 0:
+            raise ValueError(f"target diagonal must be a non-empty 1-D array, got {d.shape}")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("target matrix must be finite")
+        smallest = np.min(d)
+        if smallest <= 0.0:
+            raise ValueError(
+                f"target matrix must be positive definite (min eigenvalue {smallest:.3e})")
+        return cls(d, name)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, name: str = "") -> "TargetMatrix":
@@ -73,27 +90,19 @@ class TargetMatrix:
             raise ValueError("target matrix must be finite")
         diagonal = np.diagonal(m)
         if np.count_nonzero(m) == np.count_nonzero(diagonal):  # off-diagonal all zero
-            smallest = np.min(diagonal)
-            norm_sq = frobenius_sq(diagonal)
-        else:
-            diagonal = None
-            if not is_symmetric(m):
-                raise ValueError("target matrix must be symmetric (within 1e-12)")
-            smallest = np.linalg.eigvalsh(m)[0]
-            norm_sq = frobenius_sq(m)
-        if smallest <= 0.0:
-            raise ValueError(
-                f"target matrix must be positive definite (min eigenvalue {smallest:.3e})"
-            )
-        return cls(matrix=m, frobenius_sq=norm_sq, name=name, diagonal=diagonal)
+            return cls.from_diagonal(diagonal.copy(), name=name)
+        if not is_symmetric(m):
+            raise ValueError("target matrix must be symmetric (within 1e-12)")
+        cls.from_diagonal(np.linalg.eigvalsh(m))  # positive definite: all eigenvalues > 0
+        return cls(m, name)
 
     @classmethod
     def identity_over_p(cls, p: int) -> "TargetMatrix":
-        return cls.from_matrix(np.eye(p) / p, name="identity_over_p")
+        return cls.from_diagonal(np.full(p, 1.0 / p), name="identity_over_p")
 
     @classmethod
     def from_spectrum(cls, spec: SpectrumSpec, p: int, name: str = "") -> "TargetMatrix":
-        return cls.from_matrix(np.diag(realize_eigenvalues(spec, p)), name=name)
+        return cls.from_diagonal(realize_eigenvalues(spec, p), name=name)
 
     @classmethod
     def inverse_of_spectrum(cls, cov_spec: SpectrumSpec, p: int, name: str = "") -> "TargetMatrix":
@@ -103,7 +112,7 @@ class TargetMatrix:
         covariance realization, so the target's blocks line up with the
         covariance blocks they are priors for.
         """
-        return cls.from_matrix(np.diag(1.0 / realize_eigenvalues(cov_spec, p)), name=name)
+        return cls.from_diagonal(1.0 / realize_eigenvalues(cov_spec, p), name=name)
 
 
 @dataclass(frozen=True)
@@ -123,13 +132,13 @@ class CovarianceEstimate:
     weights: ShrinkageWeights
 
 
-def _check_dims(stats_p: int, other: np.ndarray, what: str) -> None:
+def _check_dims(stats_p: int, other, what: str) -> None:
     if other.shape != (stats_p, stats_p):
         raise ValueError(f"{what} has shape {other.shape}, expected ({stats_p}, {stats_p})")
 
 
 def _require_invertible(stats: SampleStats, op: str) -> None:
-    if stats.regime != REGIME_INVERTIBLE:
+    if not stats.p < stats.n:
         raise RegimeError(f"{op} requires an invertible sample covariance (p < n)")
     if stats.ratio > NEAR_SINGULAR_RATIO:
         raise NearSingularRegimeError(
@@ -184,14 +193,16 @@ def _oracle_olse(
 ) -> PrecisionEstimate:
     if truth.p != stats.p:
         raise ValueError(f"truth has dimension {truth.p}, expected {stats.p}")
-    _check_dims(stats.p, target.matrix, "target")
+    _check_dims(stats.p, target, "target")
+    theta = target.matrix
     a = trace_product(stats.inverse, truth.precision)
-    b = trace_product(1.0 / truth.eigenvalues, np.diagonal(target.matrix))
-    c = trace_product(stats.inverse, target.matrix)
+    diagonal = target.diagonal if target.diagonal is not None else np.diagonal(theta)
+    b = trace_product(1.0 / truth.eigenvalues, diagonal)
+    c = trace_product(stats.inverse, theta)
     alpha, beta = optimal_weights_from_functionals(
         a, b, c, stats.inverse_frobenius_sq, target.frobenius_sq
     )
-    matrix = alpha * stats.inverse + beta * target.matrix
+    matrix = alpha * stats.inverse + beta * theta
     return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
 
 
@@ -213,7 +224,7 @@ def oracle_olse_gt1(
     stats: SampleStats, truth: CovarianceModel, target: TargetMatrix
 ) -> PrecisionEstimate:
     """Oracle optimal linear shrinkage of the pseudo-inverse (p >= n)."""
-    if stats.regime != REGIME_PSEUDO:
+    if stats.p < stats.n:
         raise RegimeError("oracle_olse_gt1 requires the pseudo-inverse regime (p >= n)")
     return _oracle_olse(stats, truth, target)
 
@@ -262,10 +273,11 @@ def bona_fide_olse(
     [0, 1 - p/n] before beta is computed.
     """
     _require_invertible(stats, "bona_fide_olse")
-    _check_dims(stats.p, target.matrix, "target")
-    cross = trace_product(stats.inverse, target.matrix)
-    alpha, beta = bona_fide_weights(stats, target.frobenius_sq, cross, clamp)
-    matrix = alpha * stats.inverse + beta * target.matrix
+    _check_dims(stats.p, target, "target")
+    theta = target.matrix
+    alpha, beta = bona_fide_weights(stats, target.frobenius_sq,
+                                    trace_product(stats.inverse, theta), clamp)
+    matrix = alpha * stats.inverse + beta * theta
     return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
 
 
@@ -303,12 +315,11 @@ def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceE
     symmetric solve; this is the benchmark route of estimating the precision
     matrix indirectly. Valid in both regimes.
     """
-    _check_dims(stats.p, target_cov.matrix, "target_cov")
-    s = stats.matrix
-    alpha, beta = covariance_weights(
-        stats, frobenius_sq(s), target_cov.frobenius_sq, trace_product(s, target_cov.matrix)
-    )
-    sigma_hat = alpha * s + beta * target_cov.matrix
+    _check_dims(stats.p, target_cov, "target_cov")
+    s, c = stats.matrix, target_cov.matrix
+    alpha, beta = covariance_weights(stats, frobenius_sq(s), target_cov.frobenius_sq,
+                                     trace_product(s, c))
+    sigma_hat = alpha * s + beta * c
     inverse = _symmetric_inverse(sigma_hat)
     return CovarianceEstimate(sigma_hat, inverse, ShrinkageWeights(alpha, beta))
 

@@ -176,7 +176,7 @@ class SampleStats:
     @cached_property
     def inverse(self) -> np.ndarray:
         u = self.eigenvectors
-        if self.regime == REGIME_INVERTIBLE:  # one rounding per entry, not two
+        if self.p < self.n:  # one rounding per entry, not two
             return symmetrize((u / self.eigenvalues) @ u.T)
         return symmetrize((u * self.inverse_eigenvalues) @ u.T)
 

@@ -28,6 +28,7 @@ from .estimators import (
     OLSE_PRECISION_ORACLE,
     SAMPLE_INV,
     SAMPLE_PINV,
+    TargetMatrix,
     _require_nonsingular,
     _symmetric_inverse,
     bona_fide_weights,
@@ -43,7 +44,7 @@ from .linalg import (
     use_single_threaded_blas,
 )
 from .metrics import EstimatorSummary, PrialReport, prial
-from .spectral import CovarianceModel, SpectrumSpec, build_covariance, realize_eigenvalues
+from .spectral import CovarianceModel, SpectrumSpec, build_covariance
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "student_t"
@@ -142,6 +143,8 @@ class ExperimentConfig:
         if not self.p_grid:
             raise ValueError("p_grid must not be empty")
         for p in self.p_grid:
+            if not (abs(p) <= 1e308 and math.isfinite(p / self.ratio)):
+                raise ValueError(f"p={p} with ratio={self.ratio} gives n beyond the float range")
             if grid_sample_size(p, self.ratio) < 2:
                 raise ValueError(f"p={p} with ratio={self.ratio} gives n < 2")
         unknown = set(self.estimators) - _ESTIMATORS.keys()
@@ -265,23 +268,22 @@ class _Spectra:
         return self._truth_loss(self.d_pi), None
 
     def bona_fide(self, row):
-        t = row.precision_target
-        alpha, beta = bona_fide_weights(self.stats, row.precision_target_sq,
+        t = row.precision_target.diagonal
+        alpha, beta = bona_fide_weights(self.stats, row.precision_target.frobenius_sq,
                                         float(self.iv @ self.rotated[id(t)]), self.clamp)
         return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
 
     def oracle_olse(self, row):
-        t = row.precision_target
+        t = row.precision_target.diagonal
         alpha, beta = optimal_weights_from_functionals(
             float(self.iv @ self.d_pi), row.truth_target_trace, float(self.iv @ self.rotated[id(t)]),
-            self.stats.inverse_frobenius_sq, row.precision_target_sq)
+            self.stats.inverse_frobenius_sq, row.precision_target.frobenius_sq)
         return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
 
     def covariance_inverse(self, row):
-        c = row.covariance_target
-        stats = self.stats
-        lam = stats.eigenvalues
-        alpha, beta = covariance_weights(stats, frobenius_sq(lam), row.covariance_target_sq,
+        target, stats = row.covariance_target, self.stats
+        c, lam = target.diagonal, stats.eigenvalues
+        alpha, beta = covariance_weights(stats, frobenius_sq(lam), target.frobenius_sq,
                                          trace_product(np.diagonal(stats.matrix), c))
         if row.scalar_covariance_target:  # alpha S + beta c0 I shares the eigenvectors of S
             shrunk = alpha * lam + beta * c[0]
@@ -338,33 +340,33 @@ _ESTIMATORS = {
 class _PlannedEstimator:
     """One output row of a grid point; ``skip_reason`` is None when it runs.
 
-    The targets are the diagonals of the diagonal target matrices, ``pi`` that
-    of the truth; a grid point computes each scalar below once, at first read.
+    The targets are diagonal, ``pi`` is the truth's diagonal; a grid point
+    computes each scalar below, and each target its norm, once, at first read.
     """
 
     row_id: str
     estimator: _Estimator
     skip_reason: str | None
-    precision_target: np.ndarray | None = None
-    covariance_target: np.ndarray | None = None
+    precision_target: TargetMatrix | None = None
+    covariance_target: TargetMatrix | None = None
     pi: np.ndarray | None = None
 
-    precision_target_sq = cached_property(lambda self: frobenius_sq(self.precision_target))
-    truth_target_trace = cached_property(lambda self: trace_product(self.pi, self.precision_target))
-    covariance_target_sq = cached_property(lambda self: frobenius_sq(self.covariance_target))
+    truth_target_trace = cached_property(
+        lambda self: trace_product(self.pi, self.precision_target.diagonal))
     scalar_covariance_target = cached_property(
-        lambda self: bool(np.all(self.covariance_target == self.covariance_target[0])))
+        lambda self: bool(np.ptp(self.covariance_target.diagonal) == 0.0))
 
 
 def _resolve_targets(spec: TargetSpec, truth: CovarianceModel, pi: np.ndarray):
-    """Return the (precision target, covariance target) diagonals for one recipe."""
+    """Return the (precision target, covariance target) pair for one recipe;
+    the true precision stores ``pi`` itself, so it reuses ``W' pi``."""
     if spec.kind == TARGET_IDENTITY:
-        identity = np.full(truth.p, 1.0 / truth.p)
+        identity = TargetMatrix.identity_over_p(truth.p)
         return identity, identity
     if spec.kind == TARGET_TRUE_PRECISION:
-        return pi, truth.eigenvalues
-    covariance = realize_eigenvalues(spec.cov_spectrum, truth.p)
-    return 1.0 / covariance, covariance
+        return TargetMatrix.from_diagonal(pi), TargetMatrix.from_diagonal(truth.eigenvalues)
+    return (TargetMatrix.inverse_of_spectrum(spec.cov_spectrum, truth.p),
+            TargetMatrix.from_spectrum(spec.cov_spectrum, truth.p))
 
 
 def _plan_estimators(
@@ -420,8 +422,8 @@ def run_grid_point(
     baseline_id = SAMPLE_INV if p < n else SAMPLE_PINV
     plan = _plan_estimators(config, n, truth, pi, baseline_id)
     runnable = [row for row in plan if row.skip_reason is None]
-    targets = list({id(t): t for t in [pi] + [row.precision_target for row in runnable]
-                    if t is not None}.values())
+    targets = list({id(t): t for t in [pi] + [row.precision_target.diagonal for row in runnable
+                                              if row.precision_target is not None]}.values())
 
     def one_replication(r: int) -> ReplicationResult:
         rng = replication_rng(config.seed, p, r)

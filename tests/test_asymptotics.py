@@ -255,6 +255,20 @@ class TestWeightedDualTraceLimit:
         value = compute_limit_functionals(truth, ratio, target=target).target_dual.value
         assert value == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("ratio", [1.5, 3.0])
+    def test_rotated_dense_target_matches_its_diagonal(self, ratio):
+        # Sigma = s I: the congruence of Q diag(d) Q' has the eigenvalues d / s,
+        # so the dense branch must find the root of the diagonal branch.
+        p = 40
+        rng = np.random.default_rng(12)
+        truth = CovarianceModel.isotropic(p, 2.5)
+        d = rng.uniform(0.5, 4.0, p)
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        dense = (q * d) @ q.T
+        assert TargetMatrix.from_matrix(dense).diagonal is None
+        expected = weighted_dual_trace_limit(truth, np.diag(d), ratio)
+        assert weighted_dual_trace_limit(truth, dense, ratio) == pytest.approx(expected, rel=1e-12)
+
 
 class TestRankOneLimit:
     """Bilinear forms eta' pinv(S) xi, the rank-one weighting of the trace limits."""

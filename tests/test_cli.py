@@ -331,6 +331,15 @@ estimators: [olse_cov_inv]
         assert "invalid --p-grid" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_huge_p_grid_exit_2(self, tmp_path, capsys, sign):
+        assert main(["simulate", "fig1", "--reps", "1", "--p-grid", sign + HUGE_INT,
+                     "--out", str(tmp_path / "grid.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: p={sign}{HUGE_INT} with ratio=")
+        assert err.endswith("gives n beyond the float range\n")
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_nan_ratio_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.yaml"
         config.write_text(
@@ -437,8 +446,8 @@ class TestRejectedInput:
                      "spectrum entry 0: eigenvalue must be a number within the float range",
                      id="huge-spectrum-file-eigenvalue"),
         pytest.param("simulate", config_text(p_grid=f"[{HUGE_INT}]"),
-                     "invalid experiment config: int too large to convert to float",
-                     id="huge-p"),
+                     f"invalid experiment config: p={HUGE_INT} with ratio=0.25 gives n beyond "
+                     "the float range", id="huge-p"),
         ("simulate", config_text(p_grid="[]"), "p_grid must not be empty"),
         ("simulate", config_text(targets="[bogus]"), "unknown target 'bogus'"),
         ("simulate", config_text(targets="[{name: mine}]"),
@@ -667,13 +676,14 @@ class TestLimits:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2:] == ["alpha=0", "beta=1"]
 
-    def test_diagonal_target_never_builds_precision(self, monkeypatch, capsys):
+    def test_builtin_targets_form_no_dense_array(self, monkeypatch, capsys):
         def refuse(self):
-            raise AssertionError("dense precision built")
+            raise AssertionError("dense p x p array built")
 
         monkeypatch.setattr(CovarianceModel, "precision", property(refuse))
+        monkeypatch.setattr(TargetMatrix, "matrix", property(refuse))
         for ratio in ("0.5", "1.5"):
-            for target in ("identity_over_p", "inverse-of:prior2", "prior2"):
+            for target in ("identity_over_p", "inverse-of:prior2", "prior2", "true_precision"):
                 assert main(["limits", "--spectrum", "threeblock", "--ratio", ratio,
                              "--p", "300", "--target", target]) == 0
                 assert "beta=" in capsys.readouterr().out

@@ -75,16 +75,26 @@ def grid_minimum_holds(stats, truth, target, weights, points=50, span=0.5):
 
 class TestTargetMatrix:
     def test_rejects_asymmetric(self):
+        m = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            TargetMatrix.from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            TargetMatrix.from_matrix(m)
+        for not_1d in (m, np.ones(()), np.ones(0)):  # a diagonal is a non-empty 1-D array
+            with pytest.raises(ValueError, match="non-empty 1-D array"):
+                TargetMatrix.from_diagonal(not_1d)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             TargetMatrix.from_matrix(np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="positive definite"):
+            TargetMatrix.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="positive definite"):
+            TargetMatrix.from_diagonal([1.0, -1.0])
 
     def test_rejects_singular_diagonal(self):
         with pytest.raises(ValueError, match="positive definite"):
             TargetMatrix.from_matrix(np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="positive definite"):
+            TargetMatrix.from_diagonal([1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
@@ -93,6 +103,8 @@ class TestTargetMatrix:
             m[index] = bad
             with pytest.raises(ValueError, match="target matrix must be finite"):
                 TargetMatrix.from_matrix(m)
+        with pytest.raises(ValueError, match="target matrix must be finite"):
+            TargetMatrix.from_diagonal([1.0, bad])
 
     def test_diagonal_set_exactly_when_off_diagonal_zero(self):
         m = np.diag([3.0, 1.0, 2.0])
@@ -106,14 +118,18 @@ class TestTargetMatrix:
 
     def test_builtin_targets_are_diagonal(self):
         truth = build_covariance(THREE_BLOCK, 10)
+        pi = 1.0 / truth.eigenvalues
         for target in (
             TargetMatrix.identity_over_p(10),
             TargetMatrix.from_spectrum(THREE_BLOCK, 10),
             TargetMatrix.inverse_of_spectrum(THREE_BLOCK, 10),
             TargetMatrix.from_matrix(truth.precision),
+            TargetMatrix.from_diagonal(pi),
         ):
             np.testing.assert_array_equal(target.diagonal, np.diagonal(target.matrix))
             assert target.frobenius_sq == np.sum(target.matrix * target.matrix)
+        # Stored, not copied: the replication engine finds target vectors by identity.
+        assert TargetMatrix.from_diagonal(pi).diagonal is pi
 
     def test_identity_over_p(self):
         target = TargetMatrix.identity_over_p(4)
