@@ -51,10 +51,6 @@ class LimitFunctionals:
     weights: ShrinkageWeights | None = None
 
 
-def _self_consistent_rhs(x: float, d: np.ndarray, ratio: float, p: int) -> float:
-    return ratio / p * float(np.sum(1.0 / (d + x)))
-
-
 def _solve_self_consistent(d: np.ndarray, ratio: float, p: int) -> RootInfo:
     """Solve 1/x = (ratio/p) * tr[(D + x I)^{-1}] for x > 0, D = diag(d) > 0.
 
@@ -83,8 +79,9 @@ def _solve_self_consistent(d: np.ndarray, ratio: float, p: int) -> RootInfo:
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             method = "bisection"
-    residual = abs(1.0 / x - _self_consistent_rhs(x, d, ratio, p)) if x > 0.0 else np.inf
-    if not residual <= RESIDUAL_TOL:  # NaN fails too
+    residual = abs(1.0 / x - scale * float(np.sum(1.0 / (d + x)))) if x > 0.0 else np.inf
+    # Both sides grow like 1/x, so residual * min(1, x), not residual, is held to RESIDUAL_TOL.
+    if not residual * min(1.0, x) <= RESIDUAL_TOL:  # NaN fails too
         raise ConvergenceError(f"root solver failed: x={x!r}, residual={residual:.3e}")
     return RootInfo(value=x, iterations=iterations, residual=residual, method=method)
 
@@ -112,6 +109,36 @@ def inverse_frobenius_limit(spec: SpectrumSpec, ratio: float) -> float:
     return _inverse_frobenius_lt1(m2, m1, ratio, 1)
 
 
+def _equivalent(
+    truth: CovarianceModel, ratio: float
+) -> tuple[np.ndarray, float, RootInfo | None, float | None]:
+    """Deterministic equivalent of inv(S) (ratio < 1) or pinv(S) (ratio > 1).
+
+    Returns its diagonal (it commutes with Sigma), the limit of its squared
+    Frobenius norm, and above 1 (None below) the dual trace root x and the
+    curvature factor x' that fix it (Bodnar, Dette & Parolya 2016). Below 1
+    it is inv(Sigma) / (1 - ratio); above 1 it is
+    x' (x Sigma + I)^{-1} Sigma (x Sigma + I)^{-1}, with norm limit
+    (p/ratio) x'. A weighted trace limit is sum(diagonal * diag(theta)):
+    numpy's pairwise sum keeps it as accurate as the dense trace, where a
+    BLAS dot product moved the limiting weights by up to 2e-13 relative.
+    """
+    precision = 1.0 / truth.eigenvalues
+    if ratio < 1.0:
+        return precision / (1.0 - ratio), _inverse_frobenius_lt1(
+            truth.precision_frobenius_sq, truth.precision_trace_norm, ratio, truth.p), None, None
+    dual = _solve_self_consistent(precision, ratio, truth.p)
+    x = dual.value
+    if not np.finfo(float).tiny <= x * x < np.inf:
+        raise NumericError(f"dual trace root x={x!r} has no representable square")
+    denominator = 1.0 / x**2 - ratio / truth.p * float(np.sum(1.0 / (precision + x) ** 2))
+    if denominator <= 0.0:
+        raise ValueError("inconsistent input: nonpositive curvature denominator")
+    x_prime = 1.0 / denominator
+    tau = truth.eigenvalues
+    return x_prime * tau / (x * tau + 1.0) ** 2, truth.p / ratio * x_prime, dual, x_prime
+
+
 def dual_inverse_trace_limit(truth: CovarianceModel, ratio: float) -> float:
     """Root x of 1/x = (ratio/p) tr[(inv(Sigma) + x I)^{-1}], ratio > 1.
 
@@ -122,25 +149,10 @@ def dual_inverse_trace_limit(truth: CovarianceModel, ratio: float) -> float:
     return _solve_self_consistent(1.0 / truth.eigenvalues, ratio, truth.p).value
 
 
-def dual_inverse_frobenius_limit(
-    truth: CovarianceModel, ratio: float, trace_limit: float | None = None
-) -> float:
-    """Limit x' with (1/p) * squared Frobenius norm of pinv(S) -> x' / ratio.
-
-    ``trace_limit`` may pass a precomputed root of the trace equation; it is
-    validated against its defining equation before use.
-    """
+def dual_inverse_frobenius_limit(truth: CovarianceModel, ratio: float) -> float:
+    """Limit x' with (1/p) * squared Frobenius norm of pinv(S) -> x' / ratio."""
     _require_gt1(ratio, "dual_inverse_frobenius_limit")
-    d = 1.0 / truth.eigenvalues
-    x = dual_inverse_trace_limit(truth, ratio) if trace_limit is None else float(trace_limit)
-    if abs(1.0 / x - _self_consistent_rhs(x, d, ratio, truth.p)) > 1e-8:
-        raise ValueError("trace_limit does not solve its defining equation")
-    if not np.finfo(float).tiny <= x * x < np.inf:
-        raise NumericError(f"dual trace root x={x!r} has no representable square")
-    denominator = 1.0 / x**2 - ratio / truth.p * float(np.sum(1.0 / (d + x) ** 2))
-    if denominator <= 0.0:
-        raise ValueError("inconsistent input: nonpositive curvature denominator")
-    return 1.0 / denominator
+    return _equivalent(truth, ratio)[3]
 
 
 def _weighted_dual_info(truth: CovarianceModel, target: TargetMatrix, ratio: float) -> RootInfo:
@@ -170,26 +182,6 @@ def weighted_dual_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: 
     return _weighted_dual_info(truth, TargetMatrix.from_matrix(theta), ratio).value
 
 
-def _dual_roots(truth: CovarianceModel, ratio: float) -> tuple[RootInfo, float]:
-    """The dual trace root x and the curvature factor x', ratio > 1."""
-    info = _solve_self_consistent(1.0 / truth.eigenvalues, ratio, truth.p)
-    return info, dual_inverse_frobenius_limit(truth, ratio, info.value)
-
-
-def _pinv_equivalent_diagonal(truth: CovarianceModel, dual: RootInfo, x_prime: float) -> np.ndarray:
-    """Diagonal of the deterministic equivalent of pinv(S), ratio > 1.
-
-    Expanding the resolvent equivalent of S around zero gives
-    tr(theta @ pinv(S)) -> x' * tr[theta (x Sigma + I)^{-1} Sigma (x Sigma + I)^{-1}]
-    with x the ``dual`` trace root and x' the curvature factor. The middle matrix
-    is diagonal, so a weighted limit is sum(diagonal * diag(theta)). numpy's
-    pairwise sum keeps it as accurate as the dense trace; a BLAS dot product
-    moved the limiting weights by up to 2e-13 relative.
-    """
-    tau = truth.eigenvalues
-    return x_prime * tau / (dual.value * tau + 1.0) ** 2
-
-
 def pinv_weighted_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: float) -> float:
     """Almost-sure limit of tr(theta @ pinv(S)) for ratio > 1.
 
@@ -202,8 +194,7 @@ def pinv_weighted_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: 
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (truth.p, truth.p):
         raise ValueError(f"theta must be {truth.p}x{truth.p}, got {theta.shape}")
-    equivalent = _pinv_equivalent_diagonal(truth, *_dual_roots(truth, ratio))
-    return float(np.sum(equivalent * np.diagonal(theta)))
+    return float(np.sum(_equivalent(truth, ratio)[0] * np.diagonal(theta)))
 
 
 def pinv_bilinear_limit(
@@ -215,7 +206,7 @@ def pinv_bilinear_limit(
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if xi.size != truth.p or eta.size != truth.p:
         raise ValueError("xi and eta must be length-p vectors")
-    return float((eta * _pinv_equivalent_diagonal(truth, *_dual_roots(truth, ratio))) @ xi)
+    return float((eta * _equivalent(truth, ratio)[0]) @ xi)
 
 
 def _limit_weights(
@@ -241,23 +232,12 @@ def limit_weights_lt1(
 ) -> ShrinkageWeights:
     """Almost-sure limits of the oracle shrinkage weights for ratio in (0, 1).
 
-    The deterministic equivalent of inv(S) is inv(Sigma) / (1 - ratio). alpha
-    always lands in (0, 1 - ratio) and beta stays positive for non-degenerate
-    targets.
+    alpha always lands in (0, 1 - ratio) and beta stays positive for
+    non-degenerate targets.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    inv_frobenius_eq = _inverse_frobenius_lt1(
-        truth.precision_frobenius_sq, truth.precision_trace_norm, ratio, truth.p)
-    return _limit_weights(truth, target, 1.0 / truth.eigenvalues / (1.0 - ratio), inv_frobenius_eq)
-
-
-def _limit_weights_gt1(
-    truth: CovarianceModel, target: TargetMatrix, ratio: float, dual: RootInfo, x_prime: float
-) -> ShrinkageWeights:
-    """Limit weights from the solved dual root and its curvature factor x'."""
-    equivalent = _pinv_equivalent_diagonal(truth, dual, x_prime)
-    return _limit_weights(truth, target, equivalent, truth.p / ratio * x_prime)
+    return _limit_weights(truth, target, *_equivalent(truth, ratio)[:2])
 
 
 def limit_weights_gt1(
@@ -272,7 +252,7 @@ def limit_weights_gt1(
     equals the true precision.
     """
     _require_gt1(ratio, "limit_weights_gt1")
-    return _limit_weights_gt1(truth, target, ratio, *_dual_roots(truth, ratio))
+    return _limit_weights(truth, target, *_equivalent(truth, ratio)[:2])
 
 
 def compute_limit_functionals(
@@ -295,10 +275,10 @@ def compute_limit_functionals(
             inverse_frobenius=inverse_frobenius_limit(spec, ratio) if spec is not None else None,
             weights=limit_weights_lt1(truth, target, ratio) if target is not None else None,
         )
-    dual, x_prime = _dual_roots(truth, ratio)
+    equivalent, inv_frobenius_eq, dual, x_prime = _equivalent(truth, ratio)
     target_dual = weights = None
     if target is not None:
         target_dual = _weighted_dual_info(truth, target, ratio)
-        weights = _limit_weights_gt1(truth, target, ratio, dual, x_prime)
+        weights = _limit_weights(truth, target, equivalent, inv_frobenius_eq)
     return LimitFunctionals(ratio=ratio, dual=dual, dual_frobenius=x_prime,
                             target_dual=target_dual, weights=weights)

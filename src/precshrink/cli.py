@@ -15,7 +15,7 @@ from . import configio
 from .asymptotics import RootInfo, compute_limit_functionals
 from .errors import ConfigError, NumericError, RegimeError, SingularMatrixError
 from .estimators import TargetMatrix, bona_fide_olse, estimate_isotropic_precision
-from .linalg import DataMatrix, rank_tolerance, sample_covariance
+from .linalg import DataMatrix, sample_covariance
 from .simulation import ExperimentConfig, builtin_experiments, run_experiment, with_overrides
 from .spectral import build_covariance
 
@@ -85,8 +85,7 @@ def cmd_estimate(args) -> int:
     data = DataMatrix(matrix)
     stats = sample_covariance(data, center=args.center)
     if not args.pseudo_inverse:
-        tol = rank_tolerance(stats.eigenvalues, stats.p)
-        rank = int(np.sum(stats.eigenvalues > tol))
+        rank = np.count_nonzero(stats.inverse_eigenvalues)
         if rank < min(stats.p, stats.n):
             raise SingularMatrixError(
                 f"sample covariance is numerically singular: data rank {rank} < "

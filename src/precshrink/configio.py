@@ -265,11 +265,11 @@ def read_results(path: str) -> list[ResultRow]:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Read a rectangular numeric CSV matrix with per-line diagnostics."""
+    """Read a rectangular numeric CSV matrix, BOM or not, with per-line diagnostics."""
     rows = []
     width = None
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
                 if not stripped:

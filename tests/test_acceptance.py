@@ -103,7 +103,7 @@ def test_criterion_04_solver_closed_forms():
             x = dual_inverse_trace_limit(truth, ratio)
             x_expected = (1.0 / sigma) / (ratio - 1.0)
             worst = max(worst, abs(x - x_expected) / x_expected)
-            frob = dual_inverse_frobenius_limit(truth, ratio, x) / ratio
+            frob = dual_inverse_frobenius_limit(truth, ratio) / ratio
             frob_expected = sigma**-2 / (ratio - 1.0) ** 3
             worst = max(worst, abs(frob - frob_expected) / frob_expected)
     elapsed = time.perf_counter() - start

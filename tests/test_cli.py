@@ -1,6 +1,8 @@
 """CLI subcommands, config files, result CSVs, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -9,11 +11,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precshrink import CovarianceModel, generate_data, replication_rng, DistributionSpec
 from precshrink import TargetMatrix, bona_fide_olse, configio, sample_covariance, simulation
 from precshrink.cli import main
-from precshrink.configio import read_results
+from precshrink.configio import BUILTIN_SPECTRA, read_results
 from precshrink.errors import ConfigError
 
 
@@ -591,6 +595,28 @@ class TestEstimate:
         assert main(["estimate", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with a byte-order mark.
+        plain = write_gaussian_csv(tmp_path / "plain.csv", 10, 200, seed=8)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path in (plain, marked):
+            assert main(["estimate", str(path)]) == 0
+        assert ((tmp_path / "marked.precision.csv").read_bytes()
+                == (tmp_path / "plain.precision.csv").read_bytes())
+
+    def test_rank_deficient_wide_data(self, tmp_path, capsys):
+        # 8 variables, 5 observations of which the last repeats the first: rank 4.
+        values = np.random.default_rng(9).standard_normal((8, 5))
+        values[:, 4] = values[:, 0]
+        path = tmp_path / "deficient.csv"
+        np.savetxt(path, values, delimiter=",")
+        for flags in ([], ["--identity-case"]):
+            assert main(["estimate", str(path), *flags]) == 3
+            assert "data rank 4 < min(p, n) = 5" in capsys.readouterr().err
+        assert main(["estimate", str(path), "--pseudo-inverse"]) == 0
+        assert np.loadtxt(tmp_path / "deficient.precision.csv", delimiter=",").shape == (8, 8)
+
     def test_near_singular_band_exit_3(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "band.csv", 48, 50, seed=7)
         assert main(["estimate", str(data)]) == 3
@@ -709,6 +735,28 @@ class TestLimits:
         assert len(roots) == (2 if ratio == "1.5" else 0)
         root_line = r"\w+=\S+ \(residual=\d\.\d{3}e[-+]\d+, iterations=[1-9]\d*\)"
         assert all(re.fullmatch(root_line, line) for line in roots)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        spectrum=st.sampled_from(sorted(BUILTIN_SPECTRA)),
+        target=st.sampled_from([None, "identity_over_p", "true_precision",
+                                "inverse-of:prior2", "prior2"]),
+        p=st.integers(1, 2000),
+        ratio=st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.floats(1.0 + 1e-6, 1e12),
+                        st.sampled_from(["nan", "inf", "0", "-1", "1"])),
+    )
+    def test_fuzz_exit_codes(self, spectrum, target, p, ratio):
+        # Every float drawn lies in the ratio's domain; every string lies outside it.
+        argv = ["limits", "--spectrum", spectrum, "--ratio", str(ratio), "--p", str(p)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + (["--target", target] if target else []))
+        if isinstance(ratio, str):
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith("error: ratio must be finite")
+        else:
+            assert (code, err.getvalue()) == (0, "")
+            assert float(out.getvalue().split()[0].removeprefix("ratio=")) == ratio
 
     @pytest.mark.parametrize("target, code", [(None, 0), ("identity_over_p", 3)])
     def test_eigenvalue_with_overflowing_square(self, tmp_path, capsys, target, code):
