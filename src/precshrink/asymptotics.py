@@ -91,6 +91,11 @@ def _require_gt1(ratio: float, op: str) -> None:
         raise ValueError(f"{op} requires a concentration ratio above 1, got {ratio}")
 
 
+def _require_ratio(ratio: float) -> None:
+    if not np.isfinite(ratio) or ratio <= 0.0 or ratio == 1.0:
+        raise ValueError(f"ratio must be finite, positive and different from 1, got {ratio}")
+
+
 def _inverse_frobenius_lt1(second: float, first: float, ratio: float, scale: float) -> float:
     """Limit of ||inv(S)||^2 from inverse spectral moments (scale 1) or sums (scale p)."""
     return second / (1.0 - ratio) ** 2 + ratio * first**2 / (scale * (1.0 - ratio) ** 3)
@@ -156,6 +161,12 @@ def dual_inverse_frobenius_limit(truth: CovarianceModel, ratio: float) -> float:
 
 
 def _weighted_dual_info(truth: CovarianceModel, target: TargetMatrix, ratio: float) -> RootInfo:
+    """Self-consistent root weighted by the target's congruence with Sigma^{-1/2}.
+
+    An isotropic-case shortcut: it reproduces the classical pseudo-inverse
+    trace limits when T is proportional to Sigma; the exact equivalent of
+    tr(T @ pinv(S)) for general pairs is :func:`pinv_weighted_trace_limit`.
+    """
     if target.shape != (truth.p, truth.p):
         raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.shape}")
     if target.diagonal is not None:
@@ -165,21 +176,6 @@ def _weighted_dual_info(truth: CovarianceModel, target: TargetMatrix, ratio: flo
         congruence = s[:, None] * target.matrix * s[None, :]
         d = np.linalg.eigvalsh((congruence + congruence.T) / 2.0)
     return _solve_self_consistent(d, ratio, truth.p)
-
-
-def weighted_dual_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: float) -> float:
-    """Root y of the theta-weighted self-consistent equation, ratio > 1.
-
-    theta enters through the symmetric congruence with the inverse square
-    root of Sigma, which scales row and column i by 1/sqrt(tau_i); for a
-    diagonal theta its eigenvalues are theta_ii / tau_i. For an isotropic
-    population with theta proportional to Sigma this reproduces the
-    classical pseudo-inverse trace limits; for general pairs the exact
-    equivalent of tr(theta @ pinv(S)) is :func:`pinv_weighted_trace_limit`
-    instead.
-    """
-    _require_gt1(ratio, "weighted_dual_trace_limit")
-    return _weighted_dual_info(truth, TargetMatrix.from_matrix(theta), ratio).value
 
 
 def pinv_weighted_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: float) -> float:
@@ -227,31 +223,17 @@ def _limit_weights(
         trace_product(equivalent, theta), inv_frobenius_eq, target.frobenius_sq))
 
 
-def limit_weights_lt1(
-    truth: CovarianceModel, target: TargetMatrix, ratio: float
-) -> ShrinkageWeights:
-    """Almost-sure limits of the oracle shrinkage weights for ratio in (0, 1).
+def limit_weights(truth: CovarianceModel, target: TargetMatrix, ratio: float) -> ShrinkageWeights:
+    """Almost-sure limits of the oracle shrinkage weights for any ratio other than 1.
 
-    alpha always lands in (0, 1 - ratio) and beta stays positive for
-    non-degenerate targets.
+    Substitutes the deterministic equivalent of inv(S) (ratio < 1) or pinv(S)
+    (ratio > 1), with its squared Frobenius norm limit, into the oracle normal
+    equations, keeping every finite-p factor so the limits match the averaged
+    oracle weights. Below 1, alpha always lands in (0, 1 - ratio) and beta
+    stays positive for non-degenerate targets; in both regimes the weights are
+    exactly (0, 1) when the target equals the true precision.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    return _limit_weights(truth, target, *_equivalent(truth, ratio)[:2])
-
-
-def limit_weights_gt1(
-    truth: CovarianceModel, target: TargetMatrix, ratio: float
-) -> ShrinkageWeights:
-    """Almost-sure limits of the oracle shrinkage weights for ratio above 1.
-
-    Substitutes the pseudo-inverse deterministic equivalents (the weighted
-    trace limits and the squared Frobenius norm limit (p/ratio) x') into the
-    oracle normal equations, keeping every finite-p factor so the limits
-    match the averaged oracle weights and reduce to (0, 1) when the target
-    equals the true precision.
-    """
-    _require_gt1(ratio, "limit_weights_gt1")
+    _require_ratio(ratio)
     return _limit_weights(truth, target, *_equivalent(truth, ratio)[:2])
 
 
@@ -267,13 +249,12 @@ def compute_limit_functionals(
     limit; ratio > 1 solves the dual fixed points on ``truth``. Passing a
     target adds the limiting shrinkage weights.
     """
-    if not np.isfinite(ratio) or ratio <= 0.0 or ratio == 1.0:
-        raise ValueError(f"ratio must be finite, positive and different from 1, got {ratio}")
+    _require_ratio(ratio)
     if ratio < 1.0:
         return LimitFunctionals(
             ratio=ratio,
             inverse_frobenius=inverse_frobenius_limit(spec, ratio) if spec is not None else None,
-            weights=limit_weights_lt1(truth, target, ratio) if target is not None else None,
+            weights=limit_weights(truth, target, ratio) if target is not None else None,
         )
     equivalent, inv_frobenius_eq, dual, x_prime = _equivalent(truth, ratio)
     target_dual = weights = None

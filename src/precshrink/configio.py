@@ -282,10 +282,10 @@ def load_matrix(path: str) -> np.ndarray:
                         f"{path}: line {lineno} has {len(cells)} cells, expected {width}"
                     )
                 try:
-                    rows.append([float(cell) for cell in cells])
+                    rows.append(np.array(cells, dtype=float))
                 except ValueError as exc:
                     raise ConfigError(f"{path}: line {lineno}: non-numeric cell ({exc})") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read matrix {path!r}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: empty matrix file")

@@ -202,7 +202,8 @@ def generate_data(
     else:
         df = dist.degrees_of_freedom
         x = rng.standard_t(df, size=(p, n)) * np.sqrt((df - 2.0) / df)
-    return DataMatrix(np.sqrt(truth.eigenvalues)[:, None] * x)
+    x *= np.sqrt(truth.eigenvalues)[:, None]
+    return DataMatrix(x)
 
 
 class _Spectra:

@@ -17,13 +17,11 @@ from precshrink import (
     dual_inverse_trace_limit,
     generate_data,
     inverse_frobenius_limit,
-    limit_weights_gt1,
-    limit_weights_lt1,
+    limit_weights,
     oracle_olse_gt1,
     oracle_olse_lt1,
     replication_rng,
     sample_covariance,
-    weighted_dual_trace_limit,
 )
 from precshrink import asymptotics
 from precshrink.asymptotics import pinv_bilinear_limit, pinv_weighted_trace_limit
@@ -203,17 +201,21 @@ class TestDualFrobeniusLimit:
         assert abs(np.mean(values) - limit) / limit < 0.05
 
 
+def weighted_root(truth, theta, ratio):
+    return asymptotics._weighted_dual_info(truth, TargetMatrix.from_matrix(theta), ratio).value
+
+
 class TestWeightedDualTraceLimit:
     def test_theta_equal_sigma(self):
         truth = build_covariance(THREE_BLOCK, 30)
         for ratio in (1.5, 2.0):
-            value = weighted_dual_trace_limit(truth, np.diag(truth.eigenvalues), ratio)
+            value = weighted_root(truth, np.diag(truth.eigenvalues), ratio)
             assert value == pytest.approx(1.0 / (ratio - 1.0), rel=1e-10)
 
     def test_theta_identity_isotropic(self):
         sigma = 2.0
         truth = CovarianceModel.isotropic(20, sigma)
-        value = weighted_dual_trace_limit(truth, np.eye(20), 2.0)
+        value = weighted_root(truth, np.eye(20), 2.0)
         assert value == pytest.approx((1.0 / sigma) / 1.0, rel=1e-10)
 
     def test_identity_over_p_matches_dual_trace(self):
@@ -221,25 +223,25 @@ class TestWeightedDualTraceLimit:
         truth = build_covariance(THREE_BLOCK, 40)
         ratio = 1.5
         x = dual_inverse_trace_limit(truth, ratio)
-        y = weighted_dual_trace_limit(truth, np.eye(40) / 40.0, ratio)
+        y = weighted_root(truth, np.eye(40) / 40.0, ratio)
         assert y == pytest.approx(x / 40.0, rel=1e-9)
 
     def test_rejects_asymmetric_theta(self):
         truth = CovarianceModel.isotropic(4, 1.0)
         theta = np.outer([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="symmetric"):
-            weighted_dual_trace_limit(truth, theta, 2.0)
+            weighted_root(truth, theta, 2.0)
 
     def test_rejects_indefinite_theta(self):
         truth = CovarianceModel.isotropic(4, 1.0)
         with pytest.raises(ValueError, match="positive definite"):
-            weighted_dual_trace_limit(truth, np.diag([1.0, 1.0, 1.0, -1.0]), 2.0)
+            weighted_root(truth, np.diag([1.0, 1.0, 1.0, -1.0]), 2.0)
 
     def test_residual_contract(self):
         truth = build_covariance(THREE_BLOCK, 30)
         theta = np.diag(truth.eigenvalues)
         ratio = 1.5
-        y = weighted_dual_trace_limit(truth, theta, ratio)
+        y = weighted_root(truth, theta, ratio)
         s = 1.0 / np.sqrt(truth.eigenvalues)
         congruence = s[:, None] * theta * s[None, :]
         d = np.linalg.eigvalsh(congruence)
@@ -276,8 +278,8 @@ class TestWeightedDualTraceLimit:
         q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         dense = (q * d) @ q.T
         assert TargetMatrix.from_matrix(dense).diagonal is None
-        expected = weighted_dual_trace_limit(truth, np.diag(d), ratio)
-        assert weighted_dual_trace_limit(truth, dense, ratio) == pytest.approx(expected, rel=1e-12)
+        expected = weighted_root(truth, np.diag(d), ratio)
+        assert weighted_root(truth, dense, ratio) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRankOneLimit:
@@ -355,7 +357,7 @@ class TestLimitWeightsLt1:
     def test_true_precision_target_exact(self):
         truth = build_covariance(THREE_BLOCK, 30)
         target = TargetMatrix.from_matrix(truth.precision)
-        weights = limit_weights_lt1(truth, target, 1.0 / 3.0)
+        weights = limit_weights(truth, target, 1.0 / 3.0)
         assert weights.alpha == 0.0
         assert weights.beta == 1.0
 
@@ -363,7 +365,7 @@ class TestLimitWeightsLt1:
         scale = 2.0  # precision is scale * I when sigma eigenvalues are 1/scale
         p = 40
         truth = CovarianceModel.isotropic(p, 1.0 / scale)
-        weights = limit_weights_lt1(truth, TargetMatrix.identity_over_p(p), 0.5)
+        weights = limit_weights(truth, TargetMatrix.identity_over_p(p), 0.5)
         assert weights.alpha == pytest.approx(0.0, abs=1e-12)
         assert weights.beta == pytest.approx(p * scale, rel=1e-12)
 
@@ -371,7 +373,7 @@ class TestLimitWeightsLt1:
         p, ratio = 60, 1.0 / 3.0
         truth = build_covariance(THREE_BLOCK, p)
         target = TargetMatrix.identity_over_p(p)
-        weights = limit_weights_lt1(truth, target, ratio)
+        weights = limit_weights(truth, target, ratio)
         # independent evaluation of the limiting normal equations
         f = np.sum(truth.precision**2)
         t = np.trace(truth.precision)
@@ -389,7 +391,7 @@ class TestLimitWeightsLt1:
     def test_alpha_within_support(self):
         for ratio in (0.1, 1.0 / 3.0, 0.5, 0.8):
             truth = build_covariance(THREE_BLOCK, 45)
-            weights = limit_weights_lt1(truth, TargetMatrix.identity_over_p(45), ratio)
+            weights = limit_weights(truth, TargetMatrix.identity_over_p(45), ratio)
             assert 0.0 < weights.alpha < 1.0 - ratio
             assert weights.beta > 0.0
 
@@ -404,7 +406,7 @@ class TestLimitWeightsLt1:
             estimate = oracle_olse_lt1(stats, truth, target)
             alphas.append(estimate.weights.alpha)
             betas.append(estimate.weights.beta)
-        weights = limit_weights_lt1(truth, target, ratio)
+        weights = limit_weights(truth, target, ratio)
         assert abs(np.mean(alphas) - weights.alpha) / weights.alpha < 0.05
         assert abs(np.mean(betas) - weights.beta) / weights.beta < 0.05
 
@@ -413,7 +415,7 @@ class TestLimitWeightsGt1:
     def test_true_precision_target_exact(self):
         truth = build_covariance(THREE_BLOCK, 30)
         target = TargetMatrix.from_matrix(truth.precision)
-        weights = limit_weights_gt1(truth, target, 1.5)
+        weights = limit_weights(truth, target, 1.5)
         assert weights.alpha == 0.0
         assert weights.beta == 1.0
 
@@ -421,7 +423,7 @@ class TestLimitWeightsGt1:
         scale = 2.0
         p = 40
         truth = CovarianceModel.isotropic(p, 1.0 / scale)
-        weights = limit_weights_gt1(truth, TargetMatrix.identity_over_p(p), 1.5)
+        weights = limit_weights(truth, TargetMatrix.identity_over_p(p), 1.5)
         assert weights.alpha == pytest.approx(0.0, abs=1e-12)
         assert weights.beta / p == pytest.approx(scale, rel=1e-10)
 
@@ -436,7 +438,7 @@ class TestLimitWeightsGt1:
             estimate = oracle_olse_gt1(stats, truth, target)
             alphas.append(estimate.weights.alpha)
             betas.append(estimate.weights.beta)
-        weights = limit_weights_gt1(truth, target, ratio)
+        weights = limit_weights(truth, target, ratio)
         assert abs(np.mean(betas) - weights.beta) / weights.beta < 0.05
         assert abs(np.mean(alphas) - weights.alpha) < 0.05
 
@@ -472,6 +474,12 @@ class TestLimitFunctionalsBundle:
         with pytest.raises(ValueError, match="finite"):
             compute_limit_functionals(truth, ratio, target=TargetMatrix.identity_over_p(30))
 
+    @pytest.mark.parametrize("ratio", [1.0, 0.0, -1.0, float("nan"), float("inf")])
+    def test_limit_weights_rejects_ratio(self, ratio):
+        truth = build_covariance(THREE_BLOCK, 30)
+        with pytest.raises(ValueError, match="finite, positive and different from 1"):
+            limit_weights(truth, TargetMatrix.identity_over_p(30), ratio)
+
     def test_dual_fixed_point_solved_once(self, monkeypatch):
         truth = build_covariance(THREE_BLOCK, 30)
         target = TargetMatrix.identity_over_p(30)
@@ -486,5 +494,5 @@ class TestLimitFunctionalsBundle:
         limits = compute_limit_functionals(truth, 1.5, target=target)
         # One dual trace root and one target-weighted root, nothing solved twice.
         assert len(solved) == 2
-        weights = limit_weights_gt1(truth, target, 1.5)
+        weights = limit_weights(truth, target, 1.5)
         assert (limits.weights.alpha, limits.weights.beta) == (weights.alpha, weights.beta)

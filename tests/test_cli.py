@@ -595,6 +595,24 @@ class TestEstimate:
         assert main(["estimate", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_file_names_the_path(self, tmp_path, capsys):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes("1,2\n3,4\n".encode("utf-16"))
+        assert main(["estimate", str(path)]) == 2
+        assert f"cannot read matrix {str(path)!r}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_cells_parse_as_python_float(self, tmp_path):
+        spellings = ["1_000", "١", " 1 ", "nan", "-Infinity", "1e400"]
+        path = tmp_path / "spellings.csv"
+        path.write_text(",".join(spellings) + "\n")
+        loaded = configio.load_matrix(str(path))
+        expected = np.array([[float(cell) for cell in spellings]])
+        assert loaded.tobytes() == expected.tobytes()
+        path.write_text("1,2\n3,x\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "line 2: non-numeric cell (could not convert string to float: 'x')")):
+            configio.load_matrix(str(path))
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # Spreadsheet "CSV UTF-8" exports start with a byte-order mark.
         plain = write_gaussian_csv(tmp_path / "plain.csv", 10, 200, seed=8)
