@@ -1,6 +1,7 @@
 """Command-line entry point: simulate, estimate, limits.
 
-Exit codes: 0 success, 2 usage/config error, 3 numeric failure.
+Exit codes: 0 success, 2 usage/config error, 3 numeric failure (out of
+memory included).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def cmd_simulate(args) -> int:
         print(f"p={report.p} n={report.n} baseline={report.baseline_id}")
         for entry in report.summaries:
             if entry.status != "ok":
-                print(f"  {entry.estimator_id}: skipped ({entry.reason})")
+                print(f"  {entry.estimator_id}: skipped ({entry.status.removeprefix('skipped: ')})")
             else:
                 print(f"  {entry.estimator_id}: PRIAL={entry.prial_percent:.2f}% "
                       f"mean_loss={entry.mean_loss:.6g}")
@@ -83,6 +84,9 @@ def cmd_estimate(args) -> int:
     if args.rows == "observations":
         matrix = matrix.T
     data = DataMatrix(matrix)
+    if args.identity_case and data.p == data.n:
+        raise RegimeError(f"--identity-case needs p > n, got p = n = {data.p}; "
+                          "pass --pseudo-inverse for the raw pseudo-inverse")
     stats = sample_covariance(data, center=args.center)
     if not args.pseudo_inverse:
         rank = np.count_nonzero(stats.inverse_eigenvalues)
@@ -107,9 +111,10 @@ def cmd_estimate(args) -> int:
         result = stats.inverse
         message = "raw pseudo-inverse written (no shrinkage applies for p >= n)"
     else:
+        isotropic = "--identity-case (isotropic population) or " if stats.p > stats.n else ""
         raise RegimeError(
             "p >= n: no feasible shrinkage estimator exists for a general covariance; "
-            "pass --identity-case (isotropic population) or --pseudo-inverse (raw)"
+            f"pass {isotropic}--pseudo-inverse (raw)"
         )
     np.savetxt(out, result, delimiter=",", fmt="%.17g")
     print(message)
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="project the shrinkage weight onto its support")
     pseudo = est.add_mutually_exclusive_group()
     pseudo.add_argument("--identity-case", action="store_true",
-                        help="p >= n: assume an isotropic population covariance")
+                        help="p > n: assume an isotropic population covariance")
     pseudo.add_argument("--pseudo-inverse", action="store_true",
                         help="p >= n: emit the raw pseudo-inverse")
     est.add_argument("--out", default=None, help="output CSV path")
@@ -204,6 +209,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (NumericError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"numeric failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:  # ConfigError and RegimeError included
         print(f"error: {exc}", file=sys.stderr)

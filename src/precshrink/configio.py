@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .metrics import ResultRow
 from .simulation import (
     GAUSSIAN,
     PRIOR_SPECTRA,
@@ -29,23 +30,6 @@ BUILTIN_SPECTRA = {
     "threeblock": THREE_BLOCK,
     **PRIOR_SPECTRA,
 }
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    experiment: str
-    p: int
-    n: int
-    ratio: float
-    distribution: str
-    estimator_id: str
-    mean_loss: float
-    prial_percent: float
-    mean_alpha: float
-    mean_beta: float
-    replications: int
-    seed: int
-    status: str = "ok"
 
 
 RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
@@ -218,29 +202,12 @@ def _format_value(value) -> str:
 
 
 def rows_from_reports(config, reports) -> list[ResultRow]:
-    """Flatten PrialReports into one ResultRow per (p, estimator)."""
-    rows = []
-    for report in reports:
-        for entry in report.summaries:
-            status = entry.status if entry.status == "ok" else f"skipped: {entry.reason}"
-            rows.append(
-                ResultRow(
-                    experiment=config.name,
-                    p=report.p,
-                    n=report.n,
-                    ratio=report.ratio,
-                    distribution=config.distribution.label,
-                    estimator_id=entry.estimator_id,
-                    mean_loss=entry.mean_loss,
-                    prial_percent=entry.prial_percent,
-                    mean_alpha=entry.mean_alpha,
-                    mean_beta=entry.mean_beta,
-                    replications=entry.replications,
-                    seed=config.seed,
-                    status=status,
-                )
-            )
-    return rows
+    """Flatten PrialReports into their ResultRows, one per (p, estimator).
+
+    ``config`` is the experiment the reports were run from; its name,
+    distribution, ratio and seed are already in every row.
+    """
+    return [row for report in reports for row in report.summaries]
 
 
 def write_results(path: str, rows: list[ResultRow]) -> None:

@@ -29,28 +29,39 @@ def prial(mean_loss_estimator: float, mean_loss_baseline: float) -> float:
 
 
 @dataclass(frozen=True)
-class EstimatorSummary:
+class ResultRow:
+    """One row of a result CSV: an estimator at one grid point.
+
+    ``status`` is ``"ok"``, or ``"skipped: <reason>"`` for an estimator that
+    does not apply at the grid point; a skipped row has NaN means and 0
+    replications.
+    """
+
+    experiment: str
+    p: int
+    n: int
+    ratio: float
+    distribution: str
     estimator_id: str
     mean_loss: float
     prial_percent: float
-    replications: int
     mean_alpha: float
     mean_beta: float
+    replications: int
+    seed: int
     status: str = "ok"
-    reason: str = ""
 
 
 @dataclass(frozen=True)
 class PrialReport:
-    """Per-estimator average losses and PRIALs for one grid point (p, n)."""
+    """The result rows of one grid point (p, n), in output order."""
 
     p: int
     n: int
-    ratio: float
     baseline_id: str
-    summaries: tuple[EstimatorSummary, ...]
+    summaries: tuple[ResultRow, ...]
 
-    def summary(self, estimator_id: str) -> EstimatorSummary:
+    def summary(self, estimator_id: str) -> ResultRow:
         for entry in self.summaries:
             if entry.estimator_id == estimator_id:
                 return entry

@@ -43,7 +43,7 @@ from .linalg import (
     trace_product,
     use_single_threaded_blas,
 )
-from .metrics import EstimatorSummary, PrialReport, prial
+from .metrics import PrialReport, ResultRow, prial
 from .spectral import CovarianceModel, SpectrumSpec, build_covariance
 
 GAUSSIAN = "gaussian"
@@ -453,20 +453,21 @@ def run_grid_point(
         return float(np.mean(np.array(values)))
 
     baseline_mean = mean([res.losses[baseline_id] for res in results])
-    summaries = []
+    rows = []
     for row in plan:
-        if row.skip_reason is not None:
-            summaries.append(EstimatorSummary(row.row_id, math.nan, math.nan, 0, math.nan, math.nan,
-                                              status="skipped", reason=row.skip_reason))
-            continue
-        mean_loss = mean([res.losses[row.row_id] for res in results])
-        mean_alpha = mean_beta = math.nan
-        if row.estimator.needs_target:
-            mean_alpha = mean([res.weights[row.row_id][0] for res in results])
-            mean_beta = mean([res.weights[row.row_id][1] for res in results])
-        summaries.append(EstimatorSummary(row.row_id, mean_loss, prial(mean_loss, baseline_mean),
-                                          len(results), mean_alpha, mean_beta))
-    return PrialReport(p, n, config.ratio, baseline_id, tuple(summaries)), results
+        mean_loss = prial_percent = mean_alpha = mean_beta = math.nan
+        replications, status = 0, f"skipped: {row.skip_reason}"
+        if row.skip_reason is None:
+            replications, status = len(results), "ok"
+            mean_loss = mean([res.losses[row.row_id] for res in results])
+            prial_percent = prial(mean_loss, baseline_mean)
+            if row.estimator.needs_target:
+                mean_alpha = mean([res.weights[row.row_id][0] for res in results])
+                mean_beta = mean([res.weights[row.row_id][1] for res in results])
+        rows.append(ResultRow(config.name, p, n, config.ratio, config.distribution.label,
+                              row.row_id, mean_loss, prial_percent, mean_alpha, mean_beta,
+                              replications, config.seed, status))
+    return PrialReport(p, n, baseline_id, tuple(rows)), results
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[PrialReport]:

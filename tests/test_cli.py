@@ -328,6 +328,18 @@ estimators: [olse_cov_inv]
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: loss for 'sample_inv' must be finite")
 
+    def test_allocation_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        def refuse(spec, p):
+            raise MemoryError(f"Unable to allocate the spectrum at p={p}")
+
+        monkeypatch.setattr(simulation, "build_covariance", refuse)
+        out = tmp_path / "huge.csv"
+        assert main(["simulate", "fig1", "--reps", "1", "--p-grid", "10000000000000",
+                     "--out", str(out)]) == 3
+        assert (capsys.readouterr().err
+                == "numeric failure: Unable to allocate the spectrum at p=10000000000000\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["10,x", ",", "1.5"])
     def test_invalid_p_grid_exit_2(self, tmp_path, capsys, grid):
         assert main(["simulate", "fig1", "--reps", "1", "--p-grid", grid,
@@ -410,6 +422,12 @@ estimators: [sample_pinv, olse_precision]
         skipped = [r for r in rows if r.status.startswith("skipped")]
         assert len(skipped) == 1
         assert skipped[0].estimator_id == "olse_precision[identity_over_p]"
+        assert skipped[0].status == "skipped: bona fide estimator is undefined for p >= n"
+        # The CSV holds the report rows themselves, NaN fields included.
+        reports = simulation.run_experiment(configio.load_experiment_config(str(config)))
+        reported = [row for report in reports for row in report.summaries]
+        np.testing.assert_equal([dataclasses.astuple(row) for row in rows],
+                                [dataclasses.astuple(row) for row in reported])
 
     def test_threads_below_one_exits_2(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -514,10 +532,21 @@ class TestEstimate:
         assert main(["estimate", str(path)]) == 3
         assert "singular" in capsys.readouterr().err.lower()
 
-    def test_wide_matrix_requires_mode_flag(self, tmp_path, capsys):
-        data = write_gaussian_csv(tmp_path / "wide.csv", 12, 6, seed=3)
+    @pytest.mark.parametrize("p, n, advice", [
+        (12, 6, "pass --identity-case (isotropic population) or --pseudo-inverse (raw)"),
+        (10, 10, "pass --pseudo-inverse (raw)")], ids=["wide", "square"])
+    def test_wide_matrix_requires_mode_flag(self, tmp_path, capsys, p, n, advice):
+        data = write_gaussian_csv(tmp_path / "wide.csv", p, n, seed=3)
         assert main(["estimate", str(data)]) == 2
-        assert "identity-case" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"general covariance; {advice}\n")
+
+    def test_identity_case_needs_more_variables(self, tmp_path, capsys):
+        data = write_gaussian_csv(tmp_path / "square.csv", 10, 10, seed=6)
+        out = tmp_path / "iso.csv"
+        assert main(["estimate", str(data), "--identity-case", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --identity-case needs p > n, got p = n = 10")
+        assert not out.exists()
 
     def test_identity_case(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "wide.csv", 40, 20, seed=4, scale=2.0)
@@ -697,6 +726,18 @@ class TestLimits:
     def test_huge_ratio_is_numeric_failure(self, capsys):
         assert main(["limits", "--spectrum", "threeblock", "--ratio", "1e300", "--p", "10"]) == 3
         assert capsys.readouterr().err.startswith("numeric failure: ")
+
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 72.8 TiB", "Unable to allocate 72.8 TiB"), ("", "out of memory")],
+        ids=["numpy", "bare"])
+    def test_allocation_failure_exit_3(self, monkeypatch, capsys, message, printed):
+        def refuse(spec, p):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("precshrink.cli.build_covariance", refuse)
+        assert main(["limits", "--spectrum", "identity", "--ratio", "0.5",
+                     "--p", "10000000000000"]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {printed}\n"
 
     def test_ratio_just_above_one(self, capsys):
         assert main(["limits", "--spectrum", "threeblock", "--ratio", "1.0000001",

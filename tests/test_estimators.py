@@ -1,7 +1,11 @@
 """Oracle and bona fide shrinkage estimators, benchmarks, and functionals."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precshrink import (
     CovarianceModel,
@@ -385,6 +389,29 @@ class TestBonaFideOlse:
         beta = theta_target / g * (1.0 - alpha / (1.0 - r))
         assert estimate.weights.alpha == pytest.approx(alpha, rel=1e-10)
         assert estimate.weights.beta == pytest.approx(beta, rel=1e-10)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(p=st.integers(2, 12), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    def test_permutation_equivariance(self, p, extra, seed):
+        """Permuting the observations leaves the estimate unchanged; permuting
+        the variables, and the diagonal target with them, gives ``P est P'``.
+
+        The permuted ``S`` differs from ``S`` only by summation order, so the
+        estimates agree to 1e-9 relative in the Frobenius norm.
+        """
+        n = math.ceil(p / 0.9) + extra  # p/n stays below the near-singular band
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(0.5, 3.0, size=(p, 1)) * rng.standard_normal((p, n))
+        t = rng.uniform(0.2, 5.0, size=p)
+        base = bona_fide_olse(sample_covariance(y), TargetMatrix.from_diagonal(t)).matrix
+        observations, variables = rng.permutation(n), rng.permutation(p)
+        shuffled = bona_fide_olse(sample_covariance(y[:, observations]),
+                                  TargetMatrix.from_diagonal(t)).matrix
+        relabeled = bona_fide_olse(sample_covariance(y[variables]),
+                                   TargetMatrix.from_diagonal(t[variables])).matrix
+        scale = np.linalg.norm(base)
+        assert np.linalg.norm(shuffled - base) <= 1e-9 * scale
+        assert np.linalg.norm(relabeled - base[np.ix_(variables, variables)]) <= 1e-9 * scale
 
 
 class TestIsotropicPrecisionEstimate:

@@ -225,8 +225,7 @@ class TestRunExperiment:
         report = run_experiment(config)[0]
         assert report.baseline_id == "sample_pinv"
         skipped = report.summary("olse_precision[identity_over_p]")
-        assert skipped.status == "skipped"
-        assert "p >= n" in skipped.reason
+        assert skipped.status == "skipped: bona fide estimator is undefined for p >= n"
         assert report.summary("olse_precision_oracle[identity_over_p]").status == "ok"
 
     def test_losses_finite_and_nonnegative(self):
@@ -320,14 +319,15 @@ class TestGridPointSummaries:
         baseline_mean = np.mean(np.array([res.losses[baseline] for res in results]))
         for entry in report.summaries:
             row = entry.estimator_id
+            assert (entry.experiment, entry.p, entry.n, entry.ratio, entry.distribution,
+                    entry.seed) == ("unit", 20, report.n, ratio, "gaussian", 3)
             if row in skipped:
-                assert (entry.status, entry.reason, entry.replications) == (
-                    "skipped", skipped[row], 0)
+                assert (entry.status, entry.replications) == (f"skipped: {skipped[row]}", 0)
                 assert np.isnan([entry.mean_loss, entry.prial_percent,
                                  entry.mean_alpha, entry.mean_beta]).all()
                 assert all(row not in res.losses for res in results)
                 continue
-            assert (entry.status, entry.reason, entry.replications) == ("ok", "", 3)
+            assert (entry.status, entry.replications) == ("ok", 3)
             mean_loss = np.mean(np.array([res.losses[row] for res in results]))
             assert entry.mean_loss == mean_loss
             assert entry.prial_percent == prial(mean_loss, baseline_mean)
