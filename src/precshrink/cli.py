@@ -15,6 +15,7 @@ import numpy as np
 from . import configio
 from .asymptotics import RootInfo, compute_limit_functionals
 from .errors import ConfigError, NumericError, RegimeError, SingularMatrixError
+from .estimators import ISOTROPIC_PRECISION, OLSE_PRECISION, SAMPLE_PINV, domain_error
 from .estimators import TargetMatrix, bona_fide_olse, estimate_isotropic_precision
 from .linalg import DataMatrix, sample_covariance
 from .simulation import ExperimentConfig, builtin_experiments, run_experiment, with_overrides
@@ -72,6 +73,9 @@ def cmd_simulate(args) -> int:
 def _resolve_precision_target(text: str, p: int) -> TargetMatrix:
     if text == "identity_over_p":
         return TargetMatrix.identity_over_p(p)
+    if text == "true_precision":
+        raise ConfigError("target 'true_precision' needs the true covariance, "
+                          "which estimate does not have")
     if text.startswith("inverse-of:"):
         spec = configio.load_spectrum(text[len("inverse-of:"):])
         return TargetMatrix.inverse_of_spectrum(spec, p, name=text)
@@ -84,11 +88,14 @@ def cmd_estimate(args) -> int:
     if args.rows == "observations":
         matrix = matrix.T
     data = DataMatrix(matrix)
-    if args.identity_case and data.p == data.n:
-        raise RegimeError(f"--identity-case needs p > n, got p = n = {data.p}; "
-                          "pass --pseudo-inverse for the raw pseudo-inverse")
+    flag, mode = (("--identity-case", ISOTROPIC_PRECISION) if args.identity_case else
+                  ("--pseudo-inverse", SAMPLE_PINV) if args.pseudo_inverse else
+                  (None, OLSE_PRECISION))
+    outside = domain_error(mode, data.p, data.n)
+    if flag and outside:
+        raise RegimeError(f"{flag} does not apply at p = {data.p}, n = {data.n}: {outside}")
     stats = sample_covariance(data, center=args.center)
-    if not args.pseudo_inverse:
+    if mode != SAMPLE_PINV:
         rank = np.count_nonzero(stats.inverse_eigenvalues)
         if rank < min(stats.p, stats.n):
             raise SingularMatrixError(
@@ -97,25 +104,26 @@ def cmd_estimate(args) -> int:
             )
     out = args.out or f"{os.path.splitext(args.data)[0]}.precision.csv"
     print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={stats.regime}")
-    if stats.p < stats.n:
+    if mode == ISOTROPIC_PRECISION:
+        scale = estimate_isotropic_precision(stats)
+        result = scale * np.eye(stats.p)
+        message = f"isotropic precision scale estimate: {scale:.10g}"
+    elif mode == SAMPLE_PINV:
+        result = stats.inverse
+        message = "raw pseudo-inverse written (no shrinkage applies for p >= n)"
+    elif isinstance(outside, RegimeError):
+        isotropic = ("--identity-case (isotropic population) or "
+                     if domain_error(ISOTROPIC_PRECISION, stats.p, stats.n) is None else "")
+        raise RegimeError(
+            "p >= n: no feasible shrinkage estimator exists for a general covariance; "
+            f"pass {isotropic}--pseudo-inverse (raw)"
+        )
+    else:  # the near-singular band raises here, after the rank check
         target = _resolve_precision_target(args.target, stats.p)
         estimate = bona_fide_olse(stats, target, clamp=args.clamp)
         result = estimate.matrix
         message = (f"target={target.name or 'custom'} "
                    f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
-    elif args.identity_case:
-        scale = estimate_isotropic_precision(stats)
-        result = scale * np.eye(stats.p)
-        message = f"isotropic precision scale estimate: {scale:.10g}"
-    elif args.pseudo_inverse:
-        result = stats.inverse
-        message = "raw pseudo-inverse written (no shrinkage applies for p >= n)"
-    else:
-        isotropic = "--identity-case (isotropic population) or " if stats.p > stats.n else ""
-        raise RegimeError(
-            "p >= n: no feasible shrinkage estimator exists for a general covariance; "
-            f"pass {isotropic}--pseudo-inverse (raw)"
-        )
     np.savetxt(out, result, delimiter=",", fmt="%.17g")
     print(message)
     print(f"precision estimate written to {out}")

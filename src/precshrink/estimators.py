@@ -37,9 +37,37 @@ OLSE_PRECISION = "olse_precision"
 OLSE_PRECISION_ORACLE = "olse_precision_oracle"
 OLSE_COV_INV = "olse_cov_inv"
 EV_ORACLE = "ev_oracle"
+ISOTROPIC_PRECISION = "isotropic_precision"
 
 NEAR_SINGULAR_RATIO = 0.95
 DEGENERACY_RTOL = 1e-12
+
+# Per id: the side of p = n it needs (None: both), the RegimeError text off that side, and
+# whether it excludes the near-singular band NEAR_SINGULAR_RATIO < p/n < 1.
+_DOMAINS = {
+    SAMPLE_INV: (lambda p, n: p < n, "sample inverse undefined for p >= n", False),
+    SAMPLE_PINV: (lambda p, n: p >= n, "pseudo-inverse baseline applies only for p >= n", False),
+    OLSE_PRECISION: (lambda p, n: p < n, "bona fide estimator is undefined for p >= n", True),
+    OLSE_PRECISION_ORACLE: (None, None, True),
+    OLSE_COV_INV: (None, None, False),
+    EV_ORACLE: (None, None, False),
+    ISOTROPIC_PRECISION: (lambda p, n: p > n, "isotropic precision estimate needs p > n", False),
+}
+
+
+def domain_error(estimator_id: str, p: int, n: int) -> Exception | None:
+    """Why the estimator does not apply at p variables and n observations, or None."""
+    side, reason, excludes_band = _DOMAINS[estimator_id]
+    if side is not None and not side(p, n):
+        return RegimeError(reason)
+    if excludes_band and NEAR_SINGULAR_RATIO < p / n < 1.0:
+        return NearSingularRegimeError(f"p/n = {p / n:.3f} lies in the near-singular band")
+    return None
+
+
+def _require_domain(stats: SampleStats, *estimator_ids: str) -> None:
+    for error in filter(None, (domain_error(i, stats.p, stats.n) for i in estimator_ids)):
+        raise error
 
 
 @dataclass(frozen=True)
@@ -137,16 +165,6 @@ def _check_dims(stats_p: int, other, what: str) -> None:
         raise ValueError(f"{what} has shape {other.shape}, expected ({stats_p}, {stats_p})")
 
 
-def _require_invertible(stats: SampleStats, op: str) -> None:
-    if not stats.p < stats.n:
-        raise RegimeError(f"{op} requires an invertible sample covariance (p < n)")
-    if stats.ratio > NEAR_SINGULAR_RATIO:
-        raise NearSingularRegimeError(
-            f"{op}: p/n = {stats.ratio:.4f} lies inside the near-singular band "
-            f"(> {NEAR_SINGULAR_RATIO})"
-        )
-
-
 def hessian_determinant(inv_frobenius_sq: float, target_frobenius_sq: float, cross_trace: float) -> float:
     """Determinant of the quadratic-loss Hessian in (alpha, beta).
 
@@ -216,7 +234,7 @@ def oracle_olse_lt1(
     benchmark rather than a feasible estimator. Returns exactly (0, 1) when
     the target equals the true precision.
     """
-    _require_invertible(stats, "oracle_olse_lt1")
+    _require_domain(stats, SAMPLE_INV, OLSE_PRECISION_ORACLE)
     return _oracle_olse(stats, truth, target)
 
 
@@ -224,8 +242,7 @@ def oracle_olse_gt1(
     stats: SampleStats, truth: CovarianceModel, target: TargetMatrix
 ) -> PrecisionEstimate:
     """Oracle optimal linear shrinkage of the pseudo-inverse (p >= n)."""
-    if stats.p < stats.n:
-        raise RegimeError("oracle_olse_gt1 requires the pseudo-inverse regime (p >= n)")
+    _require_domain(stats, SAMPLE_PINV)
     return _oracle_olse(stats, truth, target)
 
 
@@ -237,7 +254,7 @@ def trace_precision_estimate(stats: SampleStats, theta: np.ndarray) -> float:
     the bias. theta must be symmetric positive definite with bounded trace
     norm for the consistency guarantee to apply.
     """
-    _require_invertible(stats, "trace_precision_estimate")
+    _require_domain(stats, OLSE_PRECISION)
     theta = np.asarray(theta, dtype=float)
     _check_dims(stats.p, theta, "theta")
     if not is_symmetric(theta):
@@ -254,7 +271,7 @@ def precision_frobenius_estimate(stats: SampleStats) -> float:
     Removes both the multiplicative bias (factor (1-p/n)^2) and the additive
     bias (trace-norm term) of the naive plug-in.
     """
-    _require_invertible(stats, "precision_frobenius_estimate")
+    _require_domain(stats, OLSE_PRECISION)
     r = stats.ratio
     multiplicative = (1.0 - r) ** 2 / stats.p * stats.inverse_frobenius_sq
     additive = (1.0 - r) / (stats.p * stats.n) * stats.inverse_trace_norm**2
@@ -272,7 +289,7 @@ def bona_fide_olse(
     not proportional to inv(S)); with ``clamp`` alpha is projected onto
     [0, 1 - p/n] before beta is computed.
     """
-    _require_invertible(stats, "bona_fide_olse")
+    _require_domain(stats, OLSE_PRECISION)
     _check_dims(stats.p, target, "target")
     theta = target.matrix
     alpha, beta = bona_fide_weights(stats, target.frobenius_sq,
@@ -302,8 +319,7 @@ def estimate_isotropic_precision(stats: SampleStats) -> float:
     this is the only feasible pseudo-regime path, since general targets have
     no consistent weight estimates when p > n.
     """
-    if stats.p <= stats.n:
-        raise RegimeError("estimate_isotropic_precision requires p > n")
+    _require_domain(stats, ISOTROPIC_PRECISION)
     r = stats.ratio
     return r * (r - 1.0) * stats.inverse_trace_norm / stats.p
 

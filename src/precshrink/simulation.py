@@ -22,7 +22,6 @@ import numpy as np
 from .errors import NumericError
 from .estimators import (
     EV_ORACLE,
-    NEAR_SINGULAR_RATIO,
     OLSE_COV_INV,
     OLSE_PRECISION,
     OLSE_PRECISION_ORACLE,
@@ -33,6 +32,7 @@ from .estimators import (
     _symmetric_inverse,
     bona_fide_weights,
     covariance_weights,
+    domain_error,
     optimal_weights_from_functionals,
 )
 from .linalg import (
@@ -311,27 +311,13 @@ class _Estimator:
 
     needs_target: bool
     run: Callable[..., tuple[float, tuple[float, float] | None]]
-    skip_when_pseudo: str | None = None
-    skip_when_invertible: str | None = None
-    skip_near_singular: bool = False
-
-    def skip_reason(self, ratio: float, invertible: bool) -> str | None:
-        """Why the estimator does not apply at this grid point, or None."""
-        if not invertible:
-            return self.skip_when_pseudo
-        if self.skip_near_singular and ratio > NEAR_SINGULAR_RATIO:
-            return f"p/n = {ratio:.3f} lies in the near-singular band"
-        return self.skip_when_invertible
 
 
 _ESTIMATORS = {
-    SAMPLE_INV: _Estimator(False, _Spectra.sample_inverse,
-                           skip_when_pseudo="sample inverse undefined for p >= n"),
-    SAMPLE_PINV: _Estimator(False, _Spectra.sample_inverse,
-                            skip_when_invertible="pseudo-inverse baseline applies only for p >= n"),
-    OLSE_PRECISION: _Estimator(True, _Spectra.bona_fide, skip_near_singular=True,
-                               skip_when_pseudo="bona fide estimator is undefined for p >= n"),
-    OLSE_PRECISION_ORACLE: _Estimator(True, _Spectra.oracle_olse, skip_near_singular=True),
+    SAMPLE_INV: _Estimator(False, _Spectra.sample_inverse),
+    SAMPLE_PINV: _Estimator(False, _Spectra.sample_inverse),
+    OLSE_PRECISION: _Estimator(True, _Spectra.bona_fide),
+    OLSE_PRECISION_ORACLE: _Estimator(True, _Spectra.oracle_olse),
     OLSE_COV_INV: _Estimator(True, _Spectra.covariance_inverse),
     EV_ORACLE: _Estimator(False, _Spectra.ev_oracle),
 }
@@ -375,9 +361,9 @@ def _plan_estimators(
 ) -> list[_PlannedEstimator]:
     """Expand estimator ids x targets into rows, in output order.
 
-    The baseline is always planned, first when it was not requested. Regime
-    mismatches become skip reasons instead of errors, so one bad estimator
-    does not kill a whole run.
+    The baseline is always planned, first when it was not requested. An id
+    outside its domain gets the text of its ``domain_error`` as skip reason
+    instead of an error, so one bad estimator does not kill a whole run.
     """
     p = truth.p
     kinds = list(config.estimators)
@@ -386,8 +372,8 @@ def _plan_estimators(
     resolved = [(spec, *_resolve_targets(spec, truth, pi)) for spec in config.targets]
     plan: list[_PlannedEstimator] = []
     for kind in kinds:
-        estimator = _ESTIMATORS[kind]
-        reason = estimator.skip_reason(p / n, p < n)
+        estimator, error = _ESTIMATORS[kind], domain_error(kind, p, n)
+        reason = None if error is None else str(error)
         if estimator.needs_target:
             plan += [_PlannedEstimator(f"{kind}[{spec.name}]", estimator, reason, *targets, pi)
                      for spec, *targets in resolved]
@@ -420,7 +406,7 @@ def run_grid_point(
     n = grid_sample_size(p, config.ratio)
     truth = build_covariance(config.spectrum, p)
     pi = 1.0 / truth.eigenvalues
-    baseline_id = SAMPLE_INV if p < n else SAMPLE_PINV
+    baseline_id = SAMPLE_INV if domain_error(SAMPLE_INV, p, n) is None else SAMPLE_PINV
     plan = _plan_estimators(config, n, truth, pi, baseline_id)
     runnable = [row for row in plan if row.skip_reason is None]
     targets = list({id(t): t for t in [pi] + [row.precision_target.diagonal for row in runnable

@@ -544,8 +544,33 @@ class TestEstimate:
         data = write_gaussian_csv(tmp_path / "square.csv", 10, 10, seed=6)
         out = tmp_path / "iso.csv"
         assert main(["estimate", str(data), "--identity-case", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: --identity-case needs p > n, got p = n = 10")
+        assert capsys.readouterr().err == (
+            "error: --identity-case does not apply at p = 10, n = 10: "
+            "isotropic precision estimate needs p > n\n")
+        assert not out.exists()
+
+    # Exit codes without a flag, with --identity-case and with --pseudo-inverse.
+    @pytest.mark.parametrize("p, n, codes", [
+        (6, 20, (0, 2, 2)), (10, 10, (2, 2, 0)), (12, 6, (2, 0, 0)), (48, 50, (3, 2, 2))],
+        ids=["tall", "square", "wide", "band"])
+    @pytest.mark.parametrize("column, flag", enumerate([None, "--identity-case",
+                                                        "--pseudo-inverse"]),
+                             ids=["no-flag", "identity-case", "pseudo-inverse"])
+    def test_exit_code_matrix(self, tmp_path, capsys, p, n, codes, column, flag):
+        data = write_gaussian_csv(tmp_path / "data.csv", p, n, seed=p)
+        out = tmp_path / "out.csv"
+        code = codes[column]
+        assert main(["estimate", str(data), *([flag] if flag else []), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if flag and code == 2:
+            assert capsys.readouterr().err.startswith(f"error: {flag} does not apply at p = {p}, ")
+
+    def test_true_precision_target_exit_2(self, tmp_path, capsys):
+        data = write_gaussian_csv(tmp_path / "data.csv", 10, 200, seed=1)
+        out = tmp_path / "t.csv"
+        assert main(["estimate", str(data), "--target", "true_precision", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: target 'true_precision' needs the true "
+                                           "covariance, which estimate does not have\n")
         assert not out.exists()
 
     def test_identity_case(self, tmp_path, capsys):

@@ -28,12 +28,27 @@ from precshrink import (
     trace_precision_estimate,
 )
 from precshrink.estimators import (
+    EV_ORACLE,
+    ISOTROPIC_PRECISION,
+    OLSE_COV_INV,
+    OLSE_PRECISION,
+    OLSE_PRECISION_ORACLE,
+    SAMPLE_INV,
+    SAMPLE_PINV,
     _symmetric_inverse,
+    domain_error,
     hessian_determinant,
     optimal_weights_from_functionals,
 )
 from precshrink.linalg import symmetrize
-from precshrink.simulation import THREE_BLOCK
+from precshrink.simulation import (
+    _ESTIMATORS,
+    THREE_BLOCK,
+    DistributionSpec,
+    ExperimentConfig,
+    TargetSpec,
+    _plan_estimators,
+)
 
 
 def diag_sample(values, n):
@@ -413,6 +428,22 @@ class TestBonaFideOlse:
         assert np.linalg.norm(shuffled - base) <= 1e-9 * scale
         assert np.linalg.norm(relabeled - base[np.ix_(variables, variables)]) <= 1e-9 * scale
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(p=st.integers(2, 12), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    def test_orthogonal_equivariance(self, p, extra, seed):
+        """Rotating the variables by an orthogonal ``Q``, and the dense target
+        with them, gives ``Q est Q'`` to 1e-9 relative in the Frobenius norm."""
+        n = math.ceil(p / 0.9) + extra  # p/n stays below the near-singular band
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(0.5, 3.0, size=(p, 1)) * rng.standard_normal((p, n))
+        q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        a = rng.standard_normal((p, p))
+        t = symmetrize(a @ a.T) + p * np.eye(p)
+        base = bona_fide_olse(sample_covariance(y), TargetMatrix.from_matrix(t)).matrix
+        rotated = bona_fide_olse(sample_covariance(q @ y),
+                                 TargetMatrix.from_matrix(symmetrize(q @ t @ q.T))).matrix
+        assert np.linalg.norm(rotated - q @ base @ q.T) <= 1e-9 * np.linalg.norm(base)
+
 
 class TestIsotropicPrecisionEstimate:
     def test_exact_small_case(self):
@@ -550,3 +581,63 @@ class TestWeightHelper:
             alpha, beta = optimal_weights_from_functionals(a, b, c, f, g)
             expected = np.linalg.solve(np.array([[f, c], [c, g]]), np.array([a, b]))
             np.testing.assert_allclose([alpha, beta], expected, rtol=1e-10)
+
+
+# Each dense function and the estimator ids whose domain it enforces, in order.
+DENSE_DOMAINS = [
+    (oracle_olse_lt1, (SAMPLE_INV, OLSE_PRECISION_ORACLE)),
+    (oracle_olse_gt1, (SAMPLE_PINV,)),
+    (lambda stats, truth, target: bona_fide_olse(stats, target), (OLSE_PRECISION,)),
+    (lambda stats, truth, target: trace_precision_estimate(stats, np.eye(stats.p)),
+     (OLSE_PRECISION,)),
+    (lambda stats, truth, target: precision_frobenius_estimate(stats), (OLSE_PRECISION,)),
+    (lambda stats, truth, target: olse_covariance(stats, target), (OLSE_COV_INV,)),
+    (lambda stats, truth, target: oracle_equivariant(stats, truth), (EV_ORACLE,)),
+    (lambda stats, truth, target: estimate_isotropic_precision(stats), (ISOTROPIC_PRECISION,)),
+]
+
+
+class TestDomain:
+    """Where each estimator applies, at the edges of p = n and of the
+    near-singular band (19 x 20 has p/n = 0.95 exactly, outside it)."""
+
+    SHAPES = [(9, 10), (10, 10), (11, 10), (29, 30), (30, 30), (31, 30), (19, 20), (24, 25)]
+
+    def test_band_edges(self):
+        assert domain_error(OLSE_PRECISION, 19, 20) is None
+        error = domain_error(OLSE_PRECISION_ORACLE, 24, 25)
+        assert type(error) is NearSingularRegimeError
+        assert str(error) == "p/n = 0.960 lies in the near-singular band"
+        assert domain_error(OLSE_PRECISION_ORACLE, 25, 25) is None
+        assert str(domain_error(ISOTROPIC_PRECISION, 25, 25)) == (
+            "isotropic precision estimate needs p > n")
+
+    @pytest.mark.parametrize("p, n", SHAPES)
+    def test_plan_skips_exactly_outside_the_domain(self, p, n):
+        config = ExperimentConfig(
+            name="edges", spectrum=THREE_BLOCK, targets=(TargetSpec.identity_over_p(),),
+            ratio=p / n, p_grid=(p,), distribution=DistributionSpec("gaussian"),
+            replications=1, seed=0, estimators=tuple(_ESTIMATORS))
+        truth = build_covariance(THREE_BLOCK, p)
+        plan = _plan_estimators(config, n, truth, 1.0 / truth.eigenvalues, SAMPLE_INV)
+        kinds = [row.row_id.split("[")[0] for row in plan]
+        assert kinds == list(_ESTIMATORS)
+        for kind, row in zip(kinds, plan):
+            error = domain_error(kind, p, n)
+            assert row.skip_reason == (None if error is None else str(error))
+
+    @pytest.mark.parametrize("p, n", SHAPES)
+    def test_dense_functions_raise_exactly_outside_the_domain(self, p, n):
+        rng = np.random.default_rng(p * n)
+        truth, stats = random_instance(rng, p, n)
+        target = TargetMatrix.identity_over_p(p)
+        for function, ids in DENSE_DOMAINS:
+            errors = [domain_error(estimator_id, p, n) for estimator_id in ids]
+            expected = next((error for error in errors if error is not None), None)
+            if expected is None:
+                function(stats, truth, target)
+                continue
+            with pytest.raises(type(expected)) as raised:
+                function(stats, truth, target)
+            assert type(raised.value) is type(expected)
+            assert str(raised.value) == str(expected)
