@@ -16,14 +16,18 @@ from . import configio
 from .asymptotics import RootInfo, compute_limit_functionals
 from .errors import ConfigError, NumericError, RegimeError, SingularMatrixError
 from .estimators import ISOTROPIC_PRECISION, OLSE_PRECISION, SAMPLE_PINV, domain_error
-from .estimators import TargetMatrix, bona_fide_olse, estimate_isotropic_precision
+from .estimators import bona_fide_olse, estimate_isotropic_precision
 from .linalg import DataMatrix, sample_covariance
-from .simulation import ExperimentConfig, builtin_experiments, run_experiment, with_overrides
+from .simulation import TARGET_IDENTITY, TARGET_PRECISION_SPECTRUM, ExperimentConfig
+from .simulation import builtin_experiments, run_experiment, with_overrides
 from .spectral import build_covariance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+TARGET_HELP = ("identity_over_p, true_precision (limits only), a spectrum (builtin name or file) "
+               "as the precision target, or inverse-of:<spectrum> for its inverse")
 
 
 def _parse_p_grid(text: str) -> tuple[int, ...]:
@@ -70,30 +74,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_precision_target(text: str, p: int) -> TargetMatrix:
-    if text == "identity_over_p":
-        return TargetMatrix.identity_over_p(p)
-    if text == "true_precision":
-        raise ConfigError("target 'true_precision' needs the true covariance, "
-                          "which estimate does not have")
-    if text.startswith("inverse-of:"):
-        spec = configio.load_spectrum(text[len("inverse-of:"):])
-        return TargetMatrix.inverse_of_spectrum(spec, p, name=text)
-    spec = configio.load_spectrum(text)
-    return TargetMatrix.from_spectrum(spec, p, name=text)
-
-
 def cmd_estimate(args) -> int:
+    flag, mode = (("--identity-case", ISOTROPIC_PRECISION) if args.identity_case else
+                  ("--pseudo-inverse", SAMPLE_PINV) if args.pseudo_inverse else
+                  (None, OLSE_PRECISION))
+    if flag and (args.target is not None or args.clamp):
+        raise ConfigError(f"{flag} takes no --target or --clamp")
+    spec = None if flag else configio.parse_target(
+        TARGET_IDENTITY if args.target is None else args.target, bare=TARGET_PRECISION_SPECTRUM)
     matrix = configio.load_matrix(args.data)
     if args.rows == "observations":
         matrix = matrix.T
     data = DataMatrix(matrix)
-    flag, mode = (("--identity-case", ISOTROPIC_PRECISION) if args.identity_case else
-                  ("--pseudo-inverse", SAMPLE_PINV) if args.pseudo_inverse else
-                  (None, OLSE_PRECISION))
     outside = domain_error(mode, data.p, data.n)
     if flag and outside:
         raise RegimeError(f"{flag} does not apply at p = {data.p}, n = {data.n}: {outside}")
+    target = spec.resolve(data.p, covariance=False)[0] if spec else None
     stats = sample_covariance(data, center=args.center)
     if mode != SAMPLE_PINV:
         rank = np.count_nonzero(stats.inverse_eigenvalues)
@@ -119,7 +115,6 @@ def cmd_estimate(args) -> int:
             f"pass {isotropic}--pseudo-inverse (raw)"
         )
     else:  # the near-singular band raises here, after the rank check
-        target = _resolve_precision_target(args.target, stats.p)
         estimate = bona_fide_olse(stats, target, clamp=args.clamp)
         result = estimate.matrix
         message = (f"target={target.name or 'custom'} "
@@ -137,12 +132,10 @@ def _print_root(name: str, root: RootInfo) -> None:
 
 def cmd_limits(args) -> int:
     spec = configio.load_spectrum(args.spectrum)
+    target_spec = None if args.target is None else configio.parse_target(
+        args.target, bare=TARGET_PRECISION_SPECTRUM)
     truth = build_covariance(spec, args.p)
-    target = None
-    if args.target == "true_precision":
-        target = TargetMatrix.from_diagonal(1.0 / truth.eigenvalues, name="true_precision")
-    elif args.target:
-        target = _resolve_precision_target(args.target, args.p)
+    target = target_spec.resolve(args.p, truth, covariance=False)[0] if target_spec else None
     limits = compute_limit_functionals(truth, args.ratio, spec=spec, target=target)
     print(f"ratio={limits.ratio:.17g} (evaluated at p={args.p})")
     if limits.inverse_frobenius is not None:
@@ -185,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="variables",
         help="what the file rows represent (default: variables)",
     )
-    est.add_argument("--target", default="identity_over_p",
-                     help="'identity_over_p', spectrum name/file, or inverse-of:<spectrum>")
+    est.add_argument("--target", default=None,
+                     help=f"{TARGET_HELP} (default: identity_over_p; bona fide path only)")
     est.add_argument("--center", action="store_true", help="subtract variable means")
     est.add_argument("--clamp", action="store_true",
                      help="project the shrinkage weight onto its support")
@@ -203,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     lim.add_argument("--ratio", "--c", dest="ratio", type=float, required=True,
                      help="concentration ratio p/n (must differ from 1)")
     lim.add_argument("--target", default=None,
-                     help="optional target for limiting shrinkage weights")
+                     help=f"{TARGET_HELP}; with one, the limiting alpha and beta are printed")
     lim.add_argument("--p", type=int, default=100,
                      help="dimension at which finite-p quantities are realized")
     lim.set_defaults(func=cmd_limits)

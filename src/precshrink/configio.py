@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from dataclasses import fields
 
@@ -15,6 +16,7 @@ from .metrics import ResultRow
 from .simulation import (
     GAUSSIAN,
     PRIOR_SPECTRA,
+    TARGET_COV_SPECTRUM,
     TARGET_IDENTITY,
     TARGET_TRUE_PRECISION,
     THREE_BLOCK,
@@ -48,12 +50,29 @@ _Loader.add_implicit_resolver(
 )
 
 
-def parse_spectrum(obj) -> SpectrumSpec:
-    """Parse a spectrum from a list of {weight, eigenvalue} mappings."""
-    if not isinstance(obj, list) or not obj:
+def load_spectrum(source) -> SpectrumSpec:
+    """Resolve a builtin spectrum name, read a spectrum file (YAML/JSON) or
+    parse a list; the list, inline or in the file, holds {weight, eigenvalue}
+    mappings."""
+    payload = source
+    if not isinstance(source, list):
+        source = str(source)
+        if source in BUILTIN_SPECTRA:
+            return BUILTIN_SPECTRA[source]
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                payload = yaml.load(handle, Loader=_Loader)
+        except OSError as exc:
+            raise ConfigError(
+                f"unknown spectrum {source!r}: not a builtin name "
+                f"({', '.join(sorted(BUILTIN_SPECTRA))}) and not a readable file ({exc})"
+            ) from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{source}: invalid YAML/JSON ({exc})") from exc
+    if not isinstance(payload, list) or not payload:
         raise ConfigError("spectrum must be a non-empty list of {weight, eigenvalue} pairs")
     atoms = []
-    for index, entry in enumerate(obj):
+    for index, entry in enumerate(payload):
         if not isinstance(entry, dict) or set(entry) != {"weight", "eigenvalue"}:
             raise ConfigError(
                 f"spectrum entry {index}: expected keys 'weight' and 'eigenvalue', got {entry!r}"
@@ -66,42 +85,27 @@ def parse_spectrum(obj) -> SpectrumSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def load_spectrum(source: str) -> SpectrumSpec:
-    """Resolve a builtin spectrum name or read a spectrum file (YAML/JSON)."""
-    if source in BUILTIN_SPECTRA:
-        return BUILTIN_SPECTRA[source]
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            payload = yaml.load(handle, Loader=_Loader)
-    except OSError as exc:
-        raise ConfigError(
-            f"unknown spectrum {source!r}: not a builtin name "
-            f"({', '.join(sorted(BUILTIN_SPECTRA))}) and not a readable file ({exc})"
-        ) from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{source}: invalid YAML/JSON ({exc})") from exc
-    return parse_spectrum(payload)
-
-
-def _parse_target(obj) -> TargetSpec:
-    if obj == TARGET_IDENTITY:
-        return TargetSpec.identity_over_p()
-    if obj == TARGET_TRUE_PRECISION:
-        return TargetSpec.true_precision()
-    if isinstance(obj, str):
-        if obj in BUILTIN_SPECTRA:
-            return TargetSpec.from_cov_spectrum(obj, BUILTIN_SPECTRA[obj])
-        raise ConfigError(
-            f"unknown target {obj!r}: expected 'identity_over_p', 'true_precision', "
-            "a builtin spectrum name, or a mapping with name/cov_spectrum"
-        )
+def parse_target(obj, *, bare: str) -> TargetSpec:
+    """Parse a target: ``identity_over_p``, ``true_precision``, a spectrum
+    (builtin name or file), ``inverse-of:<spectrum>`` or a ``{name,
+    cov_spectrum}`` mapping. The last two name a prior covariance, whose
+    inverse is the precision target; ``bare`` is the kind of a bare spectrum:
+    ``cov_spectrum`` in config files, ``precision_spectrum`` on the command line.
+    """
+    if obj in (TARGET_IDENTITY, TARGET_TRUE_PRECISION):
+        return TargetSpec(obj, obj)
     if isinstance(obj, dict):
         missing = {"name", "cov_spectrum"} - set(obj)
         if missing:
             raise ConfigError(f"target mapping is missing keys: {sorted(missing)}")
         _reject_unknown(obj, {"name", "cov_spectrum"}, "target")
-        return TargetSpec.from_cov_spectrum(str(obj["name"]), parse_spectrum(obj["cov_spectrum"]))
-    raise ConfigError(f"cannot parse target entry {obj!r}")
+        return TargetSpec(str(obj["name"]), TARGET_COV_SPECTRUM, load_spectrum(obj["cov_spectrum"]))
+    text = obj.removeprefix("inverse-of:") if isinstance(obj, str) else None
+    if text is None or not (text in BUILTIN_SPECTRA or os.path.isfile(text)):
+        raise ConfigError(f"unknown target {obj!r}: expected identity_over_p, true_precision, "
+                          f"a spectrum ({', '.join(sorted(BUILTIN_SPECTRA))} or a file), "
+                          "inverse-of:<spectrum>, or a mapping with name and cov_spectrum")
+    return TargetSpec(obj, bare if text == obj else TARGET_COV_SPECTRUM, load_spectrum(text))
 
 
 def _typed(value, name: str, kind, what: str):
@@ -160,10 +164,8 @@ def parse_experiment_config(
     try:
         return ExperimentConfig(
             name=str(payload.get("name", default_name)),
-            spectrum=parse_spectrum(payload["spectrum"])
-            if isinstance(payload["spectrum"], list)
-            else load_spectrum(str(payload["spectrum"])),
-            targets=tuple(_parse_target(t) for t in lists["targets"]),
+            spectrum=load_spectrum(payload["spectrum"]),
+            targets=tuple(parse_target(t, bare=TARGET_COV_SPECTRUM) for t in lists["targets"]),
             ratio=_number(payload["ratio"], "ratio"),
             p_grid=tuple(_typed(p, "p_grid entry", int, "an integer") for p in lists["p_grid"]),
             distribution=_parse_distribution(payload.get("distribution")),

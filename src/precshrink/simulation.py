@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .estimators import (
     EV_ORACLE,
     OLSE_COV_INV,
@@ -52,6 +52,8 @@ STUDENT_T = "student_t"
 TARGET_IDENTITY = "identity_over_p"
 TARGET_TRUE_PRECISION = "true_precision"
 TARGET_COV_SPECTRUM = "cov_spectrum"
+TARGET_PRECISION_SPECTRUM = "precision_spectrum"
+_SPECTRUM_KINDS = (TARGET_COV_SPECTRUM, TARGET_PRECISION_SPECTRUM)
 
 
 @dataclass(frozen=True)
@@ -93,20 +95,20 @@ class DistributionSpec:
 class TargetSpec:
     """Named shrinkage-target recipe, resolved to matrices at each p.
 
-    ``cov_spectrum`` targets carry the spectrum of the prior covariance; the
+    A ``cov_spectrum`` target carries a prior covariance spectrum: the
     precision target is its inverse, while the covariance estimator uses it
-    directly.
+    directly. A ``precision_spectrum`` target is the reverse.
     """
 
     name: str
     kind: str
-    cov_spectrum: SpectrumSpec | None = None
+    spectrum: SpectrumSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in (TARGET_IDENTITY, TARGET_TRUE_PRECISION, TARGET_COV_SPECTRUM):
+        if self.kind not in (TARGET_IDENTITY, TARGET_TRUE_PRECISION, *_SPECTRUM_KINDS):
             raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.kind == TARGET_COV_SPECTRUM and self.cov_spectrum is None:
-            raise ValueError("cov_spectrum target needs a spectrum")
+        if self.kind in _SPECTRUM_KINDS and self.spectrum is None:
+            raise ValueError(f"{self.kind} target needs a spectrum")
 
     @classmethod
     def identity_over_p(cls) -> "TargetSpec":
@@ -118,7 +120,28 @@ class TargetSpec:
 
     @classmethod
     def from_cov_spectrum(cls, name: str, spec: SpectrumSpec) -> "TargetSpec":
-        return cls(name=name, kind=TARGET_COV_SPECTRUM, cov_spectrum=spec)
+        return cls(name=name, kind=TARGET_COV_SPECTRUM, spectrum=spec)
+
+    def resolve(self, p: int, truth: CovarianceModel | None = None, covariance: bool = True
+                ) -> tuple[TargetMatrix, TargetMatrix | None]:
+        """The (precision, covariance) target pair at dimension ``p``, with None
+        for the covariance target unless ``covariance``. Only ``true_precision``
+        reads ``truth``; it stores ``truth.inverse_eigenvalues`` itself, so a
+        grid point's ``W' pi`` serves it."""
+        if self.kind == TARGET_IDENTITY:
+            identity = TargetMatrix.identity_over_p(p)
+            return identity, identity if covariance else None
+        if self.kind == TARGET_TRUE_PRECISION:
+            if truth is None:
+                raise ConfigError("target 'true_precision' needs the true covariance, "
+                                  "which estimate does not have")
+            return (TargetMatrix.from_diagonal(truth.inverse_eigenvalues, self.name),
+                    TargetMatrix.from_diagonal(truth.eigenvalues, self.name) if covariance else None)
+        precision, cov = TargetMatrix.inverse_of_spectrum, TargetMatrix.from_spectrum
+        if self.kind == TARGET_PRECISION_SPECTRUM:
+            precision, cov = cov, precision
+        return (precision(self.spectrum, p, self.name),
+                cov(self.spectrum, p, self.name) if covariance else None)
 
 
 @dataclass(frozen=True)
@@ -344,18 +367,6 @@ class _PlannedEstimator:
         lambda self: bool(np.ptp(self.covariance_target.diagonal) == 0.0))
 
 
-def _resolve_targets(spec: TargetSpec, truth: CovarianceModel, pi: np.ndarray):
-    """Return the (precision target, covariance target) pair for one recipe;
-    the true precision stores ``pi`` itself, so it reuses ``W' pi``."""
-    if spec.kind == TARGET_IDENTITY:
-        identity = TargetMatrix.identity_over_p(truth.p)
-        return identity, identity
-    if spec.kind == TARGET_TRUE_PRECISION:
-        return TargetMatrix.from_diagonal(pi), TargetMatrix.from_diagonal(truth.eigenvalues)
-    return (TargetMatrix.inverse_of_spectrum(spec.cov_spectrum, truth.p),
-            TargetMatrix.from_spectrum(spec.cov_spectrum, truth.p))
-
-
 def _plan_estimators(
     config: ExperimentConfig, n: int, truth: CovarianceModel, pi: np.ndarray, baseline_id: str
 ) -> list[_PlannedEstimator]:
@@ -369,7 +380,7 @@ def _plan_estimators(
     kinds = list(config.estimators)
     if baseline_id not in kinds:
         kinds.insert(0, baseline_id)
-    resolved = [(spec, *_resolve_targets(spec, truth, pi)) for spec in config.targets]
+    resolved = [(spec, *spec.resolve(p, truth)) for spec in config.targets]
     plan: list[_PlannedEstimator] = []
     for kind in kinds:
         estimator, error = _ESTIMATORS[kind], domain_error(kind, p, n)
@@ -405,7 +416,7 @@ def run_grid_point(
     use_single_threaded_blas()
     n = grid_sample_size(p, config.ratio)
     truth = build_covariance(config.spectrum, p)
-    pi = 1.0 / truth.eigenvalues
+    pi = truth.inverse_eigenvalues
     baseline_id = SAMPLE_INV if domain_error(SAMPLE_INV, p, n) is None else SAMPLE_PINV
     plan = _plan_estimators(config, n, truth, pi, baseline_id)
     runnable = [row for row in plan if row.skip_reason is None]

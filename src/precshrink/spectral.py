@@ -6,6 +6,7 @@ Every model is diagonal in the standard basis: the spectrum alone defines it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,27 +109,18 @@ class CovarianceModel:
     """Diagonal population covariance, defined by its eigenvalues alone.
 
     The ascending ``eigenvalues`` are its diagonal in the standard basis. The
-    precision ``diag(1 / eigenvalues)`` and its norms are derived on access.
+    precision ``diag(1 / eigenvalues)`` and its norms are derived on access,
+    from the diagonal ``inverse_eigenvalues``, computed once at first read.
     Immutable after construction.
     """
 
     eigenvalues: np.ndarray
 
-    @property
-    def p(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def precision(self) -> np.ndarray:
-        return np.diag(1.0 / self.eigenvalues)
-
-    @property
-    def precision_frobenius_sq(self) -> float:
-        return frobenius_sq(1.0 / self.eigenvalues)
-
-    @property
-    def precision_trace_norm(self) -> float:
-        return float(np.sum(1.0 / self.eigenvalues))
+    p = property(lambda self: self.eigenvalues.size)
+    inverse_eigenvalues = cached_property(lambda self: 1.0 / self.eigenvalues)
+    precision = property(lambda self: np.diag(self.inverse_eigenvalues))
+    precision_frobenius_sq = property(lambda self: frobenius_sq(self.inverse_eigenvalues))
+    precision_trace_norm = property(lambda self: float(np.sum(self.inverse_eigenvalues)))
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues) -> "CovarianceModel":

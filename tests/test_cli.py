@@ -11,14 +11,16 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precshrink import CovarianceModel, generate_data, replication_rng, DistributionSpec
-from precshrink import TargetMatrix, bona_fide_olse, configio, sample_covariance, simulation
+from precshrink import TargetMatrix, bona_fide_olse, cli, configio, sample_covariance, simulation
 from precshrink.cli import main
 from precshrink.configio import BUILTIN_SPECTRA, read_results
 from precshrink.errors import ConfigError
+from precshrink.spectral import realize_eigenvalues
 
 
 def write_gaussian_csv(path, p, n, seed=0, scale=1.0):
@@ -565,6 +567,17 @@ class TestEstimate:
         if flag and code == 2:
             assert capsys.readouterr().err.startswith(f"error: {flag} does not apply at p = {p}, ")
 
+    @pytest.mark.parametrize("flag", ["--identity-case", "--pseudo-inverse"])
+    @pytest.mark.parametrize("extra", [["--target", "mystery"], ["--target", "true_precision"],
+                                       ["--target", "identity_over_p"], ["--clamp"]])
+    def test_mode_flags_take_no_target_or_clamp(self, tmp_path, capsys, flag, extra):
+        # Both flags apply to this 12 x 6 file, where they would write a file.
+        data = write_gaussian_csv(tmp_path / "data.csv", 12, 6, seed=12)
+        out = tmp_path / "out.csv"
+        assert main(["estimate", str(data), flag, *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} takes no --target or --clamp\n")
+        assert not out.exists()
+
     def test_true_precision_target_exit_2(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "data.csv", 10, 200, seed=1)
         out = tmp_path / "t.csv"
@@ -890,3 +903,165 @@ class TestColdStart:
         loaded = json.loads(done.stdout.strip().splitlines()[-1])
         # fig1's olse_cov_inv[prior2] row inverts a dense matrix through LAPACK.
         assert loaded == {"import": False, "limits_and_estimate": False, "grid_point": True}
+
+
+def _realized(name, p):
+    return realize_eigenvalues(BUILTIN_SPECTRA[name], p)
+
+
+GRAMMAR_P = 10
+IDENTITY = np.full(GRAMMAR_P, 1.0 / GRAMMAR_P)
+INVERSE_TRUTH = 1.0 / _realized("threeblock", GRAMMAR_P)  # config and limits use threeblock
+PRIOR2_PRECISION = _realized("prior2", GRAMMAR_P)
+PRIOR2_INVERSE = 1.0 / PRIOR2_PRECISION
+PRIOR2_ATOMS = [{"weight": w, "eigenvalue": v} for w, v in BUILTIN_SPECTRA["prior2"].atoms]
+NO_TRUTH = "target 'true_precision' needs the true covariance, which estimate does not have"
+
+# spelling -> (precision-target diagonal in a config file, in estimate, in limits);
+# None: the place has no such spelling. "{file}" is a spectrum file holding prior2.
+TARGET_GRAMMAR = {
+    "identity_over_p": (IDENTITY, IDENTITY, IDENTITY),
+    "true_precision": (INVERSE_TRUTH, NO_TRUTH, INVERSE_TRUTH),
+    "inverse-of:prior2": (PRIOR2_INVERSE, PRIOR2_INVERSE, PRIOR2_INVERSE),
+    "prior2": (PRIOR2_INVERSE, PRIOR2_PRECISION, PRIOR2_PRECISION),
+    "{file}": (PRIOR2_INVERSE, PRIOR2_PRECISION, PRIOR2_PRECISION),
+    "inverse-of:{file}": (PRIOR2_INVERSE, PRIOR2_INVERSE, PRIOR2_INVERSE),
+    "{name: mine, cov_spectrum: prior2}": (PRIOR2_INVERSE, None, None),
+    "{name: mine, cov_spectrum: {file}}": (PRIOR2_INVERSE, None, None),
+    "{name: mine, cov_spectrum: [inline]}": (PRIOR2_INVERSE, None, None),
+}
+MAPPINGS = {
+    "{name: mine, cov_spectrum: prior2}": {"name": "mine", "cov_spectrum": "prior2"},
+    "{name: mine, cov_spectrum: {file}}": {"name": "mine", "cov_spectrum": "{file}"},
+    "{name: mine, cov_spectrum: [inline]}": {"name": "mine", "cov_spectrum": PRIOR2_ATOMS},
+}
+PLACES = ("config", "estimate", "limits")
+
+
+def _with_file(entry, path):
+    if isinstance(entry, dict):
+        return {key: _with_file(value, path) for key, value in entry.items()}
+    return entry.replace("{file}", str(path)) if isinstance(entry, str) else entry
+
+
+def _run_target(place, entry, tmp_path):
+    """Run ``entry`` as the one target of a config file, of estimate or of
+    limits, all at p = GRAMMAR_P; return the exit code and the precision
+    target the run resolved (None when it resolved none)."""
+    seen = []
+    if place == "config":
+        config = tmp_path / "grammar.yaml"
+        config.write_text(yaml.safe_dump({
+            "spectrum": "threeblock", "ratio": 0.25, "p_grid": [GRAMMAR_P], "replications": 1,
+            "seed": 1, "estimators": ["sample_inv", "olse_precision"], "targets": [entry]}))
+        plan = simulation._plan_estimators
+
+        def record(*args):
+            rows = plan(*args)
+            seen.extend(row.precision_target for row in rows if row.precision_target)
+            return rows
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_plan_estimators", record)
+            code = main(["simulate", str(config), "--out", str(tmp_path / "out.csv")])
+        return code, seen[0] if seen else None
+    if place == "estimate":
+        data = write_gaussian_csv(tmp_path / "data.csv", GRAMMAR_P, 4 * GRAMMAR_P, seed=2)
+        argv = ["estimate", str(data), f"--target={entry}", "--out", str(tmp_path / "out.csv")]
+        name = "bona_fide_olse"  # called as (stats, target, clamp=...)
+    else:
+        argv = ["limits", "--spectrum", "threeblock", "--ratio", "0.5", "--p", str(GRAMMAR_P),
+                f"--target={entry}"]
+        name = "compute_limit_functionals"  # called with target=...
+    real = getattr(cli, name)
+
+    def record(*args, **kwargs):
+        seen.append(kwargs["target"] if "target" in kwargs else args[1])
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, name, record)
+        code = main(argv)
+    return code, seen[0] if seen else None
+
+
+class TestTargetGrammar:
+    """One parser and one resolver read every target, wherever it is given."""
+
+    @pytest.mark.parametrize("spelling, column, place", [
+        (spelling, column, place) for spelling, expected in TARGET_GRAMMAR.items()
+        for column, place in enumerate(PLACES) if expected[column] is not None])
+    def test_spelling_resolves_to_its_precision_target(self, tmp_path, capsys, spelling,
+                                                       column, place):
+        spec = tmp_path / "prior2.yaml"
+        spec.write_text(yaml.safe_dump(PRIOR2_ATOMS))
+        entry = _with_file(MAPPINGS.get(spelling, spelling), spec)
+        expected = TARGET_GRAMMAR[spelling][column]
+        code, target = _run_target(place, entry, tmp_path)
+        if isinstance(expected, str):
+            assert (code, capsys.readouterr()) == (2, ("", f"error: {expected}\n"))
+            assert not (tmp_path / "out.csv").exists()
+        else:
+            assert code == 0
+            np.testing.assert_array_equal(target.diagonal, expected)
+
+    def test_bare_and_inverse_of_prior_give_equal_rows(self, tmp_path):
+        config = tmp_path / "priors.yaml"
+        config.write_text(config_text(
+            estimators="[sample_inv, olse_precision, olse_precision_oracle, olse_cov_inv]",
+            targets='[prior2, "inverse-of:prior2", {name: mine, cov_spectrum: prior2}]'))
+        out = tmp_path / "priors.csv"
+        assert main(["simulate", str(config), "--out", str(out)]) == 0
+        rows = {row.estimator_id: row for row in read_results(str(out))}
+        for kind in ("olse_precision", "olse_precision_oracle", "olse_cov_inv"):
+            same = [(row.mean_loss, row.mean_alpha, row.mean_beta) for name, row in rows.items()
+                    if name.startswith(f"{kind}[")]
+            assert len(same) == 3 and len(set(same)) == 1, kind
+
+    @pytest.mark.parametrize("text", ["", "bogus", "inverse-of:", "inverse-of:inverse-of:prior2",
+                                      "inverse-of:identity_over_p", " prior2"])
+    @pytest.mark.parametrize("place", PLACES)
+    def test_unknown_target_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, place,
+                                                   text):
+        def refuse(*args):
+            raise AssertionError("work done before the target was read")
+
+        monkeypatch.setattr(configio, "load_matrix", refuse)
+        monkeypatch.setattr(cli, "build_covariance", refuse)
+        monkeypatch.setattr(simulation, "build_covariance", refuse)
+        code, target = _run_target(place, text, tmp_path)
+        out, err = capsys.readouterr()
+        assert (code, target, out) == (2, None, "")
+        assert err.startswith(f"error: unknown target {text!r}: expected identity_over_p, ")
+        assert not (tmp_path / "out.csv").exists()
+
+
+_WORDS = st.sampled_from(["", "identity_over_p", "true_precision", "prior2", "threeblock",
+                          "bogus", "inverse-of:", "inverse-of:prior2"])
+_STRINGS = st.one_of(_WORDS, st.text(max_size=12), st.builds(
+    lambda depth, tail: "inverse-of:" * depth + tail, st.integers(0, 3),
+    st.one_of(_WORDS, st.text(max_size=8))))
+_MAPPINGS = st.dictionaries(
+    st.sampled_from(["name", "cov_spectrum", "scale"]),
+    st.one_of(st.none(), st.integers(), _WORDS, st.lists(st.dictionaries(
+        st.sampled_from(["weight", "eigenvalue"]), st.floats(0.0, 2.0)), max_size=2)),
+    max_size=3)
+TARGET_ENTRIES = st.one_of(_STRINGS, st.none(), st.booleans(), st.integers(),
+                           st.floats(allow_nan=True), st.lists(_WORDS, max_size=2), _MAPPINGS)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestTargetFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(entry=TARGET_ENTRIES)
+    def test_any_target_entry_exits_cleanly(self, fuzz_dir, entry):
+        places = PLACES if isinstance(entry, str) else ("config",)
+        for place in places:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code, _ = _run_target(place, entry, fuzz_dir)
+            assert code in (0, 2, 3), (place, entry)

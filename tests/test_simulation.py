@@ -499,7 +499,7 @@ class TestBuiltinExperiments:
         config = builtin_experiments()["fig2"]
         named = [t for t in config.targets if t.kind == "cov_spectrum"]
         assert [t.name for t in named] == ["prior1", "prior2", "prior3", "prior4", "prior5"]
-        prior4 = named[3].cov_spectrum
+        prior4 = named[3].spectrum
         assert prior4.atoms == ((0.2, 0.1), (0.4, 1.0), (0.4, 1000.0))
 
     def test_fig4_is_student_t(self):
