@@ -51,8 +51,8 @@ class LimitFunctionals:
     weights: ShrinkageWeights | None = None
 
 
-def _solve_self_consistent(d: np.ndarray, ratio: float, p: int) -> RootInfo:
-    """Solve 1/x = (ratio/p) * tr[(D + x I)^{-1}] for x > 0, D = diag(d) > 0.
+def _solve_self_consistent(d: np.ndarray, ratio: float) -> RootInfo:
+    """Solve 1/x = (ratio/p) * tr[(D + x I)^{-1}] for x > 0, D = diag(d) > 0, p = d.size.
 
     Newton's method on h(x) = 1 - (ratio/p) * sum(x / (d + x)). h falls
     convexly from h(0) = 1 towards 1 - ratio < 0, so its single root lies in
@@ -61,7 +61,7 @@ def _solve_self_consistent(d: np.ndarray, ratio: float, p: int) -> RootInfo:
     rounding pushes out of it bisects instead. h is summed exactly, so the
     root is limited by the rounding of the terms rather than of their sum.
     """
-    scale = ratio / p
+    scale = ratio / d.size
     lo, hi = float(np.min(d)) / (ratio - 1.0), float(np.max(d)) / (ratio - 1.0)
     x = lo
     method = "newton"
@@ -132,7 +132,7 @@ def _equivalent(
     if ratio < 1.0:
         return precision / (1.0 - ratio), _inverse_frobenius_lt1(
             truth.precision_frobenius_sq, truth.precision_trace_norm, ratio, truth.p), None, None
-    dual = _solve_self_consistent(precision, ratio, truth.p)
+    dual = _solve_self_consistent(precision, ratio)
     x = dual.value
     if not np.finfo(float).tiny <= x * x < np.inf:
         raise NumericError(f"dual trace root x={x!r} has no representable square")
@@ -151,7 +151,7 @@ def dual_inverse_trace_limit(truth: CovarianceModel, ratio: float) -> float:
     the normalized trace of the inverse dual sample covariance.
     """
     _require_gt1(ratio, "dual_inverse_trace_limit")
-    return _solve_self_consistent(1.0 / truth.eigenvalues, ratio, truth.p).value
+    return _solve_self_consistent(1.0 / truth.eigenvalues, ratio).value
 
 
 def dual_inverse_frobenius_limit(truth: CovarianceModel, ratio: float) -> float:
@@ -175,7 +175,7 @@ def _weighted_dual_info(truth: CovarianceModel, target: TargetMatrix, ratio: flo
         s = 1.0 / np.sqrt(truth.eigenvalues)
         congruence = s[:, None] * target.matrix * s[None, :]
         d = np.linalg.eigvalsh((congruence + congruence.T) / 2.0)
-    return _solve_self_consistent(d, ratio, truth.p)
+    return _solve_self_consistent(d, ratio)
 
 
 def pinv_weighted_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: float) -> float:

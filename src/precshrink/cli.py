@@ -89,7 +89,7 @@ def cmd_estimate(args) -> int:
     outside = domain_error(mode, data.p, data.n)
     if flag and outside:
         raise RegimeError(f"{flag} does not apply at p = {data.p}, n = {data.n}: {outside}")
-    target = spec.resolve(data.p, covariance=False)[0] if spec else None
+    target = spec.resolve(data.p)[0] if spec else None
     stats = sample_covariance(data, center=args.center)
     if mode != SAMPLE_PINV:
         rank = np.count_nonzero(stats.inverse_eigenvalues)
@@ -135,7 +135,7 @@ def cmd_limits(args) -> int:
     target_spec = None if args.target is None else configio.parse_target(
         args.target, bare=TARGET_PRECISION_SPECTRUM)
     truth = build_covariance(spec, args.p)
-    target = target_spec.resolve(args.p, truth, covariance=False)[0] if target_spec else None
+    target = target_spec.resolve(args.p, truth)[0] if target_spec else None
     limits = compute_limit_functionals(truth, args.ratio, spec=spec, target=target)
     print(f"ratio={limits.ratio:.17g} (evaluated at p={args.p})")
     if limits.inverse_frobenius is not None:

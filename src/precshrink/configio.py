@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 import os
 import re
 from dataclasses import fields
@@ -53,10 +52,12 @@ _Loader.add_implicit_resolver(
 def load_spectrum(source) -> SpectrumSpec:
     """Resolve a builtin spectrum name, read a spectrum file (YAML/JSON) or
     parse a list; the list, inline or in the file, holds {weight, eigenvalue}
-    mappings."""
+    mappings. Any other value is rejected, and never read as a file name."""
     payload = source
-    if not isinstance(source, list):
-        source = str(source)
+    if not isinstance(source, (str, list)):
+        raise ConfigError("spectrum must be a builtin name, a file name or a list of "
+                          f"{{weight, eigenvalue}} pairs, got {source!r}")
+    if isinstance(source, str):
         if source in BUILTIN_SPECTRA:
             return BUILTIN_SPECTRA[source]
         try:
@@ -99,7 +100,13 @@ def parse_target(obj, *, bare: str) -> TargetSpec:
         if missing:
             raise ConfigError(f"target mapping is missing keys: {sorted(missing)}")
         _reject_unknown(obj, {"name", "cov_spectrum"}, "target")
-        return TargetSpec(str(obj["name"]), TARGET_COV_SPECTRUM, load_spectrum(obj["cov_spectrum"]))
+        name = obj["name"]
+        if (not isinstance(name, str) or not name or name.startswith("inverse-of:")
+                or name in (TARGET_IDENTITY, TARGET_TRUE_PRECISION, *BUILTIN_SPECTRA)):
+            raise ConfigError(f"target mapping {obj!r}: name must be a non-empty string that is "
+                              "not itself a target spelling (identity_over_p, true_precision, "
+                              "a builtin spectrum or inverse-of:<spectrum>)")
+        return TargetSpec(name, TARGET_COV_SPECTRUM, load_spectrum(obj["cov_spectrum"]))
     text = obj.removeprefix("inverse-of:") if isinstance(obj, str) else None
     if text is None or not (text in BUILTIN_SPECTRA or os.path.isfile(text)):
         raise ConfigError(f"unknown target {obj!r}: expected identity_over_p, true_precision, "
@@ -196,11 +203,7 @@ def load_experiment_config(path: str, seed_override: int | None = None) -> Exper
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def rows_from_reports(config, reports) -> list[ResultRow]:

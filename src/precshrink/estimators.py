@@ -292,20 +292,29 @@ def bona_fide_olse(
     _require_domain(stats, OLSE_PRECISION)
     _check_dims(stats.p, target, "target")
     theta = target.matrix
-    alpha, beta = bona_fide_weights(stats, target.frobenius_sq,
-                                    trace_product(stats.inverse, theta), clamp)
+    alpha, beta = plug_in_weights(stats.inverse_frobenius_sq, target.frobenius_sq,
+                                  trace_product(stats.inverse, theta), stats.inverse_trace_norm,
+                                  stats.n, 1.0 - stats.ratio, clamp)
     matrix = alpha * stats.inverse + beta * theta
     return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
 
 
-def bona_fide_weights(
-    stats: SampleStats, target_frobenius_sq: float, cross_trace: float, clamp: bool = False
+def plug_in_weights(
+    a_frobenius_sq: float, target_frobenius_sq: float, cross_trace: float, a_trace: float,
+    n: int, slack: float, clamp: bool = False,
 ) -> tuple[float, float]:
-    """The (alpha, beta) of :func:`bona_fide_olse` from ``||T||^2`` and ``tr(inv(S) T)``."""
+    """The (alpha, beta) of ``alpha * A + beta * T`` with consistent plug-ins.
+
+    Solves the normal equations of the Frobenius loss from ``||A||^2``,
+    ``||T||^2``, ``tr(A T)`` and ``tr(A)``: ``alpha = slack - (tr(A)^2 / n)
+    ||T||^2 / det`` and ``beta = (tr(A T) / ||T||^2) (slack - alpha)``. The
+    bona fide OLSE has ``A = inv(S)`` and ``slack = 1 - p/n``, the covariance
+    OLSE ``A = S`` and ``slack = 1``. With ``clamp`` alpha is projected onto
+    ``[0, slack]`` before beta is computed.
+    """
     g = target_frobenius_sq
-    det = hessian_determinant(stats.inverse_frobenius_sq, g, cross_trace)
-    slack = 1.0 - stats.ratio
-    alpha = slack - (stats.inverse_trace_norm**2 / stats.n) * g / det
+    det = hessian_determinant(a_frobenius_sq, g, cross_trace)
+    alpha = slack - (a_trace**2 / n) * g / det
     if clamp:
         alpha = min(max(alpha, 0.0), slack)
     beta = (cross_trace / g) * (slack - alpha)
@@ -333,24 +342,11 @@ def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceE
     """
     _check_dims(stats.p, target_cov, "target_cov")
     s, c = stats.matrix, target_cov.matrix
-    alpha, beta = covariance_weights(stats, frobenius_sq(s), target_cov.frobenius_sq,
-                                     trace_product(s, c))
+    alpha, beta = plug_in_weights(frobenius_sq(s), target_cov.frobenius_sq, trace_product(s, c),
+                                  float(np.trace(s)), stats.n, 1.0)
     sigma_hat = alpha * s + beta * c
     inverse = _symmetric_inverse(sigma_hat)
     return CovarianceEstimate(sigma_hat, inverse, ShrinkageWeights(alpha, beta))
-
-
-def covariance_weights(
-    stats: SampleStats, s_frobenius_sq: float, target_frobenius_sq: float, cross_trace: float
-) -> tuple[float, float]:
-    """The (alpha, beta) of :func:`olse_covariance` from ``||S||^2``, ``||T||^2``
-    and ``tr(S T)``."""
-    g = target_frobenius_sq
-    det = hessian_determinant(s_frobenius_sq, g, cross_trace)
-    trace_s = float(np.trace(stats.matrix))
-    alpha = 1.0 - (trace_s**2 / stats.n) * g / det
-    beta = (cross_trace / g) * (1.0 - alpha)
-    return alpha, beta
 
 
 def _require_nonsingular(eigenvalues: np.ndarray) -> None:

@@ -30,10 +30,9 @@ from .estimators import (
     TargetMatrix,
     _require_nonsingular,
     _symmetric_inverse,
-    bona_fide_weights,
-    covariance_weights,
     domain_error,
     optimal_weights_from_functionals,
+    plug_in_weights,
 )
 from .linalg import (
     DataMatrix,
@@ -122,26 +121,24 @@ class TargetSpec:
     def from_cov_spectrum(cls, name: str, spec: SpectrumSpec) -> "TargetSpec":
         return cls(name=name, kind=TARGET_COV_SPECTRUM, spectrum=spec)
 
-    def resolve(self, p: int, truth: CovarianceModel | None = None, covariance: bool = True
-                ) -> tuple[TargetMatrix, TargetMatrix | None]:
-        """The (precision, covariance) target pair at dimension ``p``, with None
-        for the covariance target unless ``covariance``. Only ``true_precision``
-        reads ``truth``; it stores ``truth.inverse_eigenvalues`` itself, so a
-        grid point's ``W' pi`` serves it."""
+    def resolve(self, p: int, truth: CovarianceModel | None = None
+                ) -> tuple[TargetMatrix, TargetMatrix]:
+        """The (precision, covariance) target pair at dimension ``p``. Only
+        ``true_precision`` reads ``truth``; it stores ``truth.inverse_eigenvalues``
+        itself, so a grid point's ``W' pi`` serves it."""
         if self.kind == TARGET_IDENTITY:
             identity = TargetMatrix.identity_over_p(p)
-            return identity, identity if covariance else None
+            return identity, identity
         if self.kind == TARGET_TRUE_PRECISION:
             if truth is None:
                 raise ConfigError("target 'true_precision' needs the true covariance, "
                                   "which estimate does not have")
             return (TargetMatrix.from_diagonal(truth.inverse_eigenvalues, self.name),
-                    TargetMatrix.from_diagonal(truth.eigenvalues, self.name) if covariance else None)
+                    TargetMatrix.from_diagonal(truth.eigenvalues, self.name))
         precision, cov = TargetMatrix.inverse_of_spectrum, TargetMatrix.from_spectrum
         if self.kind == TARGET_PRECISION_SPECTRUM:
             precision, cov = cov, precision
-        return (precision(self.spectrum, p, self.name),
-                cov(self.spectrum, p, self.name) if covariance else None)
+        return precision(self.spectrum, p, self.name), cov(self.spectrum, p, self.name)
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ class ExperimentConfig:
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise ValueError(f"duplicate {what}: {repeated}")
-        targeted = {kind for kind in self.estimators if _ESTIMATORS[kind].needs_target}
+        targeted = {kind for kind in self.estimators if kind in _TARGETED}
         if targeted and not self.targets:
             raise ValueError(f"estimators {sorted(targeted)} need at least one target spec")
         if int(self.seed) < 0:
@@ -292,24 +289,29 @@ class _Spectra:
         return self._truth_loss(self.d_pi), None
 
     def bona_fide(self, row):
-        t = row.precision_target.diagonal
-        alpha, beta = bona_fide_weights(self.stats, row.precision_target.frobenius_sq,
-                                        float(self.iv @ self.rotated[id(t)]), self.clamp)
+        target, stats = row.precision_target, self.stats
+        t = target.diagonal
+        alpha, beta = plug_in_weights(
+            stats.inverse_frobenius_sq, target.frobenius_sq, float(self.iv @ self.rotated[id(t)]),
+            stats.inverse_trace_norm, stats.n, 1.0 - stats.ratio, self.clamp)
         return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
 
     def oracle_olse(self, row):
-        t = row.precision_target.diagonal
+        target = row.precision_target
+        t = target.diagonal
         alpha, beta = optimal_weights_from_functionals(
-            float(self.iv @ self.d_pi), row.truth_target_trace, float(self.iv @ self.rotated[id(t)]),
-            self.stats.inverse_frobenius_sq, row.precision_target.frobenius_sq)
+            float(self.iv @ self.d_pi), trace_product(self.pi, t),
+            float(self.iv @ self.rotated[id(t)]), self.stats.inverse_frobenius_sq,
+            target.frobenius_sq)
         return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
 
     def covariance_inverse(self, row):
         target, stats = row.covariance_target, self.stats
         c, lam = target.diagonal, stats.eigenvalues
-        alpha, beta = covariance_weights(stats, frobenius_sq(lam), target.frobenius_sq,
-                                         trace_product(np.diagonal(stats.matrix), c))
-        if row.scalar_covariance_target:  # alpha S + beta c0 I shares the eigenvectors of S
+        alpha, beta = plug_in_weights(frobenius_sq(lam), target.frobenius_sq,
+                                      trace_product(np.diagonal(stats.matrix), c),
+                                      float(np.trace(stats.matrix)), stats.n, 1.0)
+        if np.ptp(c) == 0.0:  # alpha S + beta c0 I shares the eigenvectors of S
             shrunk = alpha * lam + beta * c[0]
             if not np.all(shrunk > 0.0):
                 _require_nonsingular(shrunk)
@@ -321,54 +323,35 @@ class _Spectra:
         return float(error.ravel() @ error.ravel()), (alpha, beta)
 
 
-@dataclass(frozen=True)
-class _Estimator:
-    """What the replication engine knows about one estimator id.
-
-    ``needs_target``: one row per target, and ``run`` reports (alpha, beta).
-    ``run(spectra, row) -> (loss, (alpha, beta) | None)`` is a :class:`_Spectra`
-    method: it scores the row from the replication's shared spectral work,
-    with the weights of the matching dense estimator function and the loss
-    ``frobenius_loss`` would give that function's estimate.
-    """
-
-    needs_target: bool
-    run: Callable[..., tuple[float, tuple[float, float] | None]]
-
-
+# Each id's scorer, a :class:`_Spectra` method ``(spectra, row) -> (loss, (alpha, beta) |
+# None)``: it scores the row from the replication's shared spectral work, with the weights
+# of the matching dense estimator function and the loss ``frobenius_loss`` would give that
+# function's estimate. The ids in ``_TARGETED`` get one row per target and report weights.
 _ESTIMATORS = {
-    SAMPLE_INV: _Estimator(False, _Spectra.sample_inverse),
-    SAMPLE_PINV: _Estimator(False, _Spectra.sample_inverse),
-    OLSE_PRECISION: _Estimator(True, _Spectra.bona_fide),
-    OLSE_PRECISION_ORACLE: _Estimator(True, _Spectra.oracle_olse),
-    OLSE_COV_INV: _Estimator(True, _Spectra.covariance_inverse),
-    EV_ORACLE: _Estimator(False, _Spectra.ev_oracle),
+    SAMPLE_INV: _Spectra.sample_inverse,
+    SAMPLE_PINV: _Spectra.sample_inverse,
+    OLSE_PRECISION: _Spectra.bona_fide,
+    OLSE_PRECISION_ORACLE: _Spectra.oracle_olse,
+    OLSE_COV_INV: _Spectra.covariance_inverse,
+    EV_ORACLE: _Spectra.ev_oracle,
 }
+_TARGETED = (OLSE_PRECISION, OLSE_PRECISION_ORACLE, OLSE_COV_INV)
 
 
 @dataclass(frozen=True)
 class _PlannedEstimator:
     """One output row of a grid point; ``skip_reason`` is None when it runs.
-
-    The targets are diagonal, ``pi`` is the truth's diagonal; a grid point
-    computes each scalar below, and each target its norm, once, at first read.
-    """
+    A targeted row carries its diagonal (precision, covariance) target pair."""
 
     row_id: str
-    estimator: _Estimator
+    score: Callable[..., tuple[float, tuple[float, float] | None]]
     skip_reason: str | None
     precision_target: TargetMatrix | None = None
     covariance_target: TargetMatrix | None = None
-    pi: np.ndarray | None = None
-
-    truth_target_trace = cached_property(
-        lambda self: trace_product(self.pi, self.precision_target.diagonal))
-    scalar_covariance_target = cached_property(
-        lambda self: bool(np.ptp(self.covariance_target.diagonal) == 0.0))
 
 
 def _plan_estimators(
-    config: ExperimentConfig, n: int, truth: CovarianceModel, pi: np.ndarray, baseline_id: str
+    config: ExperimentConfig, n: int, truth: CovarianceModel, baseline_id: str
 ) -> list[_PlannedEstimator]:
     """Expand estimator ids x targets into rows, in output order.
 
@@ -383,13 +366,13 @@ def _plan_estimators(
     resolved = [(spec, *spec.resolve(p, truth)) for spec in config.targets]
     plan: list[_PlannedEstimator] = []
     for kind in kinds:
-        estimator, error = _ESTIMATORS[kind], domain_error(kind, p, n)
+        score, error = _ESTIMATORS[kind], domain_error(kind, p, n)
         reason = None if error is None else str(error)
-        if estimator.needs_target:
-            plan += [_PlannedEstimator(f"{kind}[{spec.name}]", estimator, reason, *targets, pi)
+        if kind in _TARGETED:
+            plan += [_PlannedEstimator(f"{kind}[{spec.name}]", score, reason, *targets)
                      for spec, *targets in resolved]
         else:
-            plan.append(_PlannedEstimator(kind, estimator, reason))
+            plan.append(_PlannedEstimator(kind, score, reason))
     return plan
 
 
@@ -418,7 +401,7 @@ def run_grid_point(
     truth = build_covariance(config.spectrum, p)
     pi = truth.inverse_eigenvalues
     baseline_id = SAMPLE_INV if domain_error(SAMPLE_INV, p, n) is None else SAMPLE_PINV
-    plan = _plan_estimators(config, n, truth, pi, baseline_id)
+    plan = _plan_estimators(config, n, truth, baseline_id)
     runnable = [row for row in plan if row.skip_reason is None]
     targets = list({id(t): t for t in [pi] + [row.precision_target.diagonal for row in runnable
                                               if row.precision_target is not None]}.values())
@@ -431,7 +414,7 @@ def run_grid_point(
         losses: dict[str, float] = {}
         weights: dict[str, tuple[float, float]] = {}
         for planned in runnable:
-            loss, pair = planned.estimator.run(spectra, planned)
+            loss, pair = planned.score(spectra, planned)
             losses[planned.row_id] = loss
             if pair is not None:
                 weights[planned.row_id] = pair
@@ -458,7 +441,7 @@ def run_grid_point(
             replications, status = len(results), "ok"
             mean_loss = mean([res.losses[row.row_id] for res in results])
             prial_percent = prial(mean_loss, baseline_mean)
-            if row.estimator.needs_target:
+            if row.precision_target is not None:
                 mean_alpha = mean([res.weights[row.row_id][0] for res in results])
                 mean_beta = mean([res.weights[row.row_id][1] for res in results])
         rows.append(ResultRow(config.name, p, n, config.ratio, config.distribution.label,

@@ -131,7 +131,7 @@ class TestSelfConsistentSolver:
     )
     def test_matches_brentq(self, log_d, ratio):
         d = np.exp(np.array(log_d))
-        info = asymptotics._solve_self_consistent(d, ratio, d.size)
+        info = asymptotics._solve_self_consistent(d, ratio)
         assert info.value == pytest.approx(brentq_root(d, ratio), rel=1e-12)
         assert info.iterations <= 50
         assert info.residual <= asymptotics.RESIDUAL_TOL
@@ -146,19 +146,19 @@ class TestSelfConsistentSolver:
         # far above RESIDUAL_TOL; the solver compares it at that scale.
         d = np.exp(np.array(log_d))
         ratio = 10.0**log_ratio
-        info = asymptotics._solve_self_consistent(d, ratio, d.size)
+        info = asymptotics._solve_self_consistent(d, ratio)
         assert info.value == pytest.approx(brentq_root(d, ratio), rel=1e-12)
         assert info.iterations <= 50
         assert info.residual <= asymptotics.RESIDUAL_TOL * max(1.0, 1.0 / info.value)
 
     def test_equal_values_solved_in_one_step(self):
-        info = asymptotics._solve_self_consistent(np.full(7, 2.0), 3.0, 7)
+        info = asymptotics._solve_self_consistent(np.full(7, 2.0), 3.0)
         assert info.value == pytest.approx(1.0, rel=1e-15)
         assert (info.iterations, info.method) == (1, "newton")
 
     def test_two_values_closed_form(self):
         # With p = 2 and ratio 2 the equation reads x^2 = d1 d2.
-        info = asymptotics._solve_self_consistent(np.array([1e-3, 1.0]), 2.0, 2)
+        info = asymptotics._solve_self_consistent(np.array([1e-3, 1.0]), 2.0)
         assert info.value == pytest.approx(np.sqrt(1e-3), rel=1e-15)
         assert info.method == "newton"
 
@@ -166,7 +166,7 @@ class TestSelfConsistentSolver:
         # Near the root of this spread spectrum, rounding in h pushes a Newton
         # step out of the bracket, and the safeguard bisects instead.
         d = np.geomspace(1.0, 10.0, 10)
-        info = asymptotics._solve_self_consistent(d, 1.02, 10)
+        info = asymptotics._solve_self_consistent(d, 1.02)
         assert info.method == "bisection"
         assert info.value == pytest.approx(brentq_root(d, 1.02), rel=1e-12)
 
@@ -263,7 +263,7 @@ class TestWeightedDualTraceLimit:
         s = 1.0 / np.sqrt(truth.eigenvalues)
         congruence = s[:, None] * target.matrix * s[None, :]
         d = np.linalg.eigvalsh(congruence)
-        expected = asymptotics._solve_self_consistent(d, ratio, p).value
+        expected = asymptotics._solve_self_consistent(d, ratio).value
         value = compute_limit_functionals(truth, ratio, target=target).target_dual.value
         assert value == pytest.approx(expected, rel=1e-14)
 

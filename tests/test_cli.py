@@ -322,9 +322,8 @@ estimators: [olse_cov_inv]
         assert not out.exists()
 
     def test_non_finite_loss_exit_3(self, tmp_path, capsys, monkeypatch):
-        broken = dataclasses.replace(simulation._ESTIMATORS["sample_inv"],
-                                     run=lambda spectra, row: (math.nan, None))
-        monkeypatch.setitem(simulation._ESTIMATORS, "sample_inv", broken)
+        monkeypatch.setitem(simulation._ESTIMATORS, "sample_inv",
+                            lambda spectra, row: (math.nan, None))
         assert main(["simulate", "fig1", "--reps", "1", "--p-grid", "10", "--seed", "1",
                      "--out", str(tmp_path / "nan.csv")]) == 3
         err = capsys.readouterr().err
@@ -498,6 +497,27 @@ class TestRejectedInput:
         }[command]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("field, text, value", [
+        ("spectrum", "5", 5),
+        ("spectrum", "null", None),
+        ("spectrum", "true", True),
+        ("spectrum", "{weight: 1.0, eigenvalue: 1.0}", {"weight": 1.0, "eigenvalue": 1.0}),
+        ("targets", "[{name: mine, cov_spectrum: null}]", None),
+        ("targets", "[{name: mine, cov_spectrum: 5}]", 5),
+    ])
+    def test_spectrum_that_is_no_string_or_list_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                       field, text, value):
+        # Valid spectrum files named like the value must not be read in its place.
+        monkeypatch.chdir(tmp_path)
+        for name in ("5", "None", "True"):
+            (tmp_path / name).write_text(yaml.safe_dump(PRIOR2_ATOMS))
+        (tmp_path / "config.yaml").write_text(config_text(**{field: text}))
+        assert main(["simulate", "config.yaml", "--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: spectrum must be a builtin name, a file name or a list of "
+            f"{{weight, eigenvalue}} pairs, got {value!r}\n")
         assert not (tmp_path / "out.csv").exists()
 
     def test_result_file_with_wrong_header(self, tmp_path):
@@ -1017,6 +1037,20 @@ class TestTargetGrammar:
             same = [(row.mean_loss, row.mean_alpha, row.mean_beta) for name, row in rows.items()
                     if name.startswith(f"{kind}[")]
             assert len(same) == 3 and len(set(same)) == 1, kind
+
+    @pytest.mark.parametrize("name", ["identity_over_p", "true_precision", "prior1", "prior2",
+                                      "threeblock", "identity", "inverse-of:prior2",
+                                      "inverse-of:bogus", "", None, 7, ["mine"]])
+    def test_mapping_name_that_is_a_spelling_or_no_string_exit_2(self, tmp_path, capsys, name):
+        # A row id names its target, so a mapping may not borrow another target's spelling.
+        entry = {"cov_spectrum": "prior2", "name": name}  # the key order YAML reads back
+        code, target = _run_target("config", entry, tmp_path)
+        out, err = capsys.readouterr()
+        assert (code, target, out) == (2, None, "")
+        assert err == (f"error: target mapping {entry!r}: name must be a non-empty string that "
+                       "is not itself a target spelling (identity_over_p, true_precision, a "
+                       "builtin spectrum or inverse-of:<spectrum>)\n")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("text", ["", "bogus", "inverse-of:", "inverse-of:inverse-of:prior2",
                                       "inverse-of:identity_over_p", " prior2"])

@@ -619,7 +619,7 @@ class TestDomain:
             ratio=p / n, p_grid=(p,), distribution=DistributionSpec("gaussian"),
             replications=1, seed=0, estimators=tuple(_ESTIMATORS))
         truth = build_covariance(THREE_BLOCK, p)
-        plan = _plan_estimators(config, n, truth, 1.0 / truth.eigenvalues, SAMPLE_INV)
+        plan = _plan_estimators(config, n, truth, SAMPLE_INV)
         kinds = [row.row_id.split("[")[0] for row in plan]
         assert kinds == list(_ESTIMATORS)
         for kind, row in zip(kinds, plan):
