@@ -14,7 +14,7 @@ import numpy as np
 
 from . import configio
 from .asymptotics import RootInfo, compute_limit_functionals
-from .errors import ConfigError, NumericError, RegimeError, SingularMatrixError
+from .errors import ConfigError, NumericError, RegimeError
 from .estimators import ISOTROPIC_PRECISION, OLSE_PRECISION, SAMPLE_PINV, domain_error
 from .estimators import bona_fide_olse, estimate_isotropic_precision
 from .linalg import DataMatrix, sample_covariance
@@ -88,18 +88,17 @@ def cmd_estimate(args) -> int:
     data = DataMatrix(matrix)
     outside = domain_error(mode, data.p, data.n)
     if flag and outside:
-        raise RegimeError(f"{flag} does not apply at p = {data.p}, n = {data.n}: {outside}")
+        outside = RegimeError(f"{flag} does not apply at p = {data.p}, n = {data.n}: {outside}")
+    elif isinstance(outside, RegimeError):
+        isotropic = ("--identity-case (isotropic population) or "
+                     if domain_error(ISOTROPIC_PRECISION, data.p, data.n) is None else "")
+        outside = RegimeError("p >= n: no feasible shrinkage estimator exists for a general "
+                              f"covariance; pass {isotropic}--pseudo-inverse (raw)")
+    if outside:  # a NearSingularRegimeError in the near-singular band: exit 3
+        raise outside
     target = spec.resolve(data.p)[0] if spec else None
     stats = sample_covariance(data, center=args.center)
-    if mode != SAMPLE_PINV:
-        rank = np.count_nonzero(stats.inverse_eigenvalues)
-        if rank < min(stats.p, stats.n):
-            raise SingularMatrixError(
-                f"sample covariance is numerically singular: data rank {rank} < "
-                f"min(p, n) = {min(stats.p, stats.n)}; no shrinkage path applies"
-            )
     out = args.out or f"{os.path.splitext(args.data)[0]}.precision.csv"
-    print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={stats.regime}")
     if mode == ISOTROPIC_PRECISION:
         scale = estimate_isotropic_precision(stats)
         result = scale * np.eye(stats.p)
@@ -107,19 +106,13 @@ def cmd_estimate(args) -> int:
     elif mode == SAMPLE_PINV:
         result = stats.inverse
         message = "raw pseudo-inverse written (no shrinkage applies for p >= n)"
-    elif isinstance(outside, RegimeError):
-        isotropic = ("--identity-case (isotropic population) or "
-                     if domain_error(ISOTROPIC_PRECISION, stats.p, stats.n) is None else "")
-        raise RegimeError(
-            "p >= n: no feasible shrinkage estimator exists for a general covariance; "
-            f"pass {isotropic}--pseudo-inverse (raw)"
-        )
-    else:  # the near-singular band raises here, after the rank check
+    else:
         estimate = bona_fide_olse(stats, target, clamp=args.clamp)
         result = estimate.matrix
         message = (f"target={target.name or 'custom'} "
                    f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
     np.savetxt(out, result, delimiter=",", fmt="%.17g")
+    print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={stats.regime}")
     print(message)
     print(f"precision estimate written to {out}")
     return EXIT_OK

@@ -324,11 +324,16 @@ def plug_in_weights(
 def estimate_isotropic_precision(stats: SampleStats) -> float:
     """Consistent estimate of the precision scale when Sigma = sigma * I, p > n.
 
-    Inverts the known limit of (1/p) tr(pinv(S)) for an isotropic population;
-    this is the only feasible pseudo-regime path, since general targets have
-    no consistent weight estimates when p > n.
+    Inverts the known limit of (1/p) tr(pinv(S)) for an isotropic population
+    and data of rank n (:class:`SingularMatrixError` below it); this is the
+    only feasible pseudo-regime path, since general targets have no
+    consistent weight estimates when p > n.
     """
     _require_domain(stats, ISOTROPIC_PRECISION)
+    rank = np.count_nonzero(stats.inverse_eigenvalues)
+    if rank < stats.n:
+        raise SingularMatrixError(
+            f"isotropic precision estimate needs data rank n: data rank {rank} < n = {stats.n}")
     r = stats.ratio
     return r * (r - 1.0) * stats.inverse_trace_norm / stats.p
 

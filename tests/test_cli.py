@@ -550,9 +550,13 @@ class TestEstimate:
 
     def test_identical_rows_exit_3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
-        path.write_text("1,1,1\n1,1,1\n1,1,1\n")
+        path.write_text("1,1,1,1\n1,1,1,1\n1,1,1,1\n")
         assert main(["estimate", str(path)]) == 3
         assert "singular" in capsys.readouterr().err.lower()
+        # Square, the same file is out of the bona fide domain before its rank matters.
+        path.write_text("1,1,1\n1,1,1\n1,1,1\n")
+        assert main(["estimate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: p >= n: no feasible shrinkage")
 
     @pytest.mark.parametrize("p, n, advice", [
         (12, 6, "pass --identity-case (isotropic population) or --pseudo-inverse (raw)"),
@@ -561,6 +565,30 @@ class TestEstimate:
         data = write_gaussian_csv(tmp_path / "wide.csv", p, n, seed=3)
         assert main(["estimate", str(data)]) == 2
         assert capsys.readouterr().err.endswith(f"general covariance; {advice}\n")
+
+    @pytest.mark.parametrize("p, n", [(40, 5), (6, 6)], ids=["wide", "square"])
+    @pytest.mark.parametrize("center", [[], ["--center"]], ids=["raw", "centered"])
+    def test_refused_before_any_linear_algebra(self, tmp_path, capsys, monkeypatch, p, n, center):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_covariance called")
+
+        data = write_gaussian_csv(tmp_path / "data.csv", p, n, seed=p)
+        monkeypatch.setattr("precshrink.cli.sample_covariance", refuse)
+        monkeypatch.setattr("precshrink.linalg.sample_covariance", refuse)
+        out = tmp_path / "out.csv"
+        assert main(["estimate", str(data), *center, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: p >= n: no feasible shrinkage estimator exists")
+        assert not out.exists()
+
+    def test_identity_case_needs_data_rank_n(self, tmp_path, capsys):
+        data = write_gaussian_csv(tmp_path / "wide.csv", 40, 5, seed=40)
+        out = tmp_path / "iso.csv"
+        assert main(["estimate", str(data), "--identity-case", "--center", "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", "numeric failure: isotropic precision estimate needs "
+                                           "data rank n: data rank 4 < n = 5\n")
+        assert not out.exists()
 
     def test_identity_case_needs_more_variables(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "square.csv", 10, 10, seed=6)
@@ -716,9 +744,10 @@ class TestEstimate:
         values[:, 4] = values[:, 0]
         path = tmp_path / "deficient.csv"
         np.savetxt(path, values, delimiter=",")
-        for flags in ([], ["--identity-case"]):
-            assert main(["estimate", str(path), *flags]) == 3
-            assert "data rank 4 < min(p, n) = 5" in capsys.readouterr().err
+        assert main(["estimate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: p >= n: no feasible shrinkage")
+        assert main(["estimate", str(path), "--identity-case"]) == 3
+        assert "data rank 4 < n = 5" in capsys.readouterr().err
         assert main(["estimate", str(path), "--pseudo-inverse"]) == 0
         assert np.loadtxt(tmp_path / "deficient.precision.csv", delimiter=",").shape == (8, 8)
 

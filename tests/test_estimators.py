@@ -462,6 +462,12 @@ class TestIsotropicPrecisionEstimate:
         with pytest.raises(RegimeError):
             estimate_isotropic_precision(stats_square)
 
+    def test_needs_data_rank_n(self):
+        # Centered, 5 observations of 40 variables span 4 dimensions only.
+        stats = sample_covariance(np.random.default_rng(40).standard_normal((40, 5)), center=True)
+        with pytest.raises(SingularMatrixError, match=r"data rank 4 < n = 5$"):
+            estimate_isotropic_precision(stats)
+
     def test_monte_carlo_consistency(self):
         sigma, p, n = 2.0, 120, 60
         truth = CovarianceModel.isotropic(p, sigma)
