@@ -56,10 +56,10 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    reports = run_experiment(config, threads=args.threads)
-    rows = configio.rows_from_reports(config, reports)
     out = args.out or f"{config.name}_results.csv"
-    configio.write_results(out, rows)
+    configio.check_writable(out)
+    reports = run_experiment(config, threads=args.threads)
+    configio.write_results(out, configio.rows_from_reports(config, reports))
     print(f"experiment {config.name}: ratio={config.ratio:g}, "
           f"reps={config.replications}, seed={config.seed}")
     for report in reports:
@@ -97,8 +97,9 @@ def cmd_estimate(args) -> int:
     if outside:  # a NearSingularRegimeError in the near-singular band: exit 3
         raise outside
     target = spec.resolve(data.p)[0] if spec else None
-    stats = sample_covariance(data, center=args.center)
     out = args.out or f"{os.path.splitext(args.data)[0]}.precision.csv"
+    configio.check_writable(out)
+    stats = sample_covariance(data, center=args.center)
     if mode == ISOTROPIC_PRECISION:
         scale = estimate_isotropic_precision(stats)
         result = scale * np.eye(stats.p)
@@ -111,7 +112,8 @@ def cmd_estimate(args) -> int:
         result = estimate.matrix
         message = (f"target={target.name or 'custom'} "
                    f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
-    np.savetxt(out, result, delimiter=",", fmt="%.17g")
+    with configio.writing(out):
+        np.savetxt(out, result, delimiter=",", fmt="%.17g")
     print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={stats.regime}")
     print(message)
     print(f"precision estimate written to {out}")

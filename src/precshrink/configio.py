@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import os
 import re
 from dataclasses import fields
@@ -215,9 +217,31 @@ def rows_from_reports(config, reports) -> list[ResultRow]:
     return [row for report in reports for row in report.summaries]
 
 
+def check_writable(path: str) -> None:
+    """Raise :class:`ConfigError` when ``path`` cannot be written as a file.
+
+    Commands call this before their work, so that no run ends in a failed write.
+    """
+    folder = os.path.dirname(path) or os.curdir
+    code = (errno.EISDIR if os.path.isdir(path) else
+            errno.ENOENT if not os.path.isdir(folder) else
+            errno.EACCES if not os.access(path if os.path.exists(path) else folder, os.W_OK) else 0)
+    if code:
+        raise ConfigError(f"cannot write {path!r}: {os.strerror(code)}")
+
+
+@contextlib.contextmanager
+def writing(path: str):
+    """Report an ``OSError`` raised while writing ``path`` as a :class:`ConfigError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def write_results(path: str, rows: list[ResultRow]) -> None:
     """Write result rows as CSV; floats carry 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with writing(path), open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RESULT_FIELDS)
         for row in rows:

@@ -314,7 +314,10 @@ def plug_in_weights(
     """
     g = target_frobenius_sq
     det = hessian_determinant(a_frobenius_sq, g, cross_trace)
-    alpha = slack - (a_trace**2 / n) * g / det
+    try:
+        alpha = slack - (a_trace**2 / n) * g / det
+    except OverflowError:  # a Python float's power raises where numpy's returns inf
+        raise NumericError(f"squared trace {a_trace:.3e} of the weights overflows") from None
     if clamp:
         alpha = min(max(alpha, 0.0), slack)
     beta = (cross_trace / g) * (slack - alpha)
@@ -335,7 +338,11 @@ def estimate_isotropic_precision(stats: SampleStats) -> float:
         raise SingularMatrixError(
             f"isotropic precision estimate needs data rank n: data rank {rank} < n = {stats.n}")
     r = stats.ratio
-    return r * (r - 1.0) * stats.inverse_trace_norm / stats.p
+    scale = r * (r - 1.0) * stats.inverse_trace_norm / stats.p
+    if not math.isfinite(scale):
+        raise NumericError(f"isotropic precision scale overflows (trace of the pseudo-inverse "
+                           f"{stats.inverse_trace_norm:.3e})")
+    return scale
 
 
 def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceEstimate:

@@ -195,8 +195,11 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
 
     The regime is ``invertible`` iff p < n; p >= n yields the ``pseudo``
     regime. A rank deficient S with p < n raises :class:`SingularMatrixError`
-    rather than silently falling back to the pseudo-inverse, and data whose
-    Gram matrix overflows raises :class:`NumericError`.
+    rather than silently falling back to the pseudo-inverse. Data whose Gram
+    matrix overflows raises :class:`NumericError`, and so does data so small
+    that twice the sum of the kept eigenvalues' reciprocals overflows: below
+    that bound every entry of ``inverse``, before and after symmetrizing, and
+    every trace of the inverse eigenvalues is finite.
 
     ``y @ y.T`` is formed by a symmetric rank-k update that mirrors one
     triangle, so S is exactly symmetric without a symmetrizing pass. Data
@@ -231,5 +234,13 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
             RuntimeWarning,
             stacklevel=2,
         )
-    inverse_eigenvalues = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
+    with np.errstate(over="ignore"):
+        inverse_eigenvalues = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
+        overflows = 2.0 * np.sum(inverse_eigenvalues) == np.inf  # S is near the underflow threshold
+    if overflows:
+        raise NumericError(
+            f"sample covariance is too small to invert: kept eigenvalue "
+            f"{eigenvalues[positive][0]:.3e}, largest data magnitude "
+            f"{float(np.max(np.abs(data.values))):.3e}"
+        )
     return SampleStats(s, eigenvalues, eigenvectors, inverse_eigenvalues, n)

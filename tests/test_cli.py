@@ -2,9 +2,11 @@
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from precshrink import CovarianceModel, generate_data, replication_rng, DistributionSpec
@@ -23,10 +25,10 @@ from precshrink.errors import ConfigError
 from precshrink.spectral import realize_eigenvalues
 
 
-def write_gaussian_csv(path, p, n, seed=0, scale=1.0):
+def write_gaussian_csv(path, p, n, seed=0, scale=1.0, factor=1.0):
     truth = CovarianceModel.isotropic(p, scale)
     data = generate_data(truth, n, DistributionSpec("gaussian"), replication_rng(seed, p, 0))
-    np.savetxt(path, data.values, delimiter=",")
+    np.savetxt(path, factor * data.values, delimiter=",")
     return path
 
 
@@ -520,6 +522,41 @@ class TestRejectedInput:
             f"{{weight, eigenvalue}} pairs, got {value!r}\n")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("where, reason", [("missing/x.csv", "No such file or directory"),
+                                               (".", "Is a directory")],
+                             ids=["missing-folder", "folder"])
+    def test_unwritable_out_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, command,
+                                                   where, reason):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(simulation, "run_grid_point", refuse)
+        monkeypatch.setattr("precshrink.cli.sample_covariance", refuse)
+        out = str(tmp_path / where)
+        argv = {"simulate": ["simulate", "fig1", "--reps", "2", "--p-grid", "6"],
+                "estimate": ["estimate", str(write_gaussian_csv(tmp_path / "a.csv", 6, 20))],
+                }[command]
+        assert main([*argv, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {out!r}: {reason}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_failing_write_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        real_open = open
+
+        def full_disk(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_open(path, mode, *args, **kwargs)
+
+        data = str(write_gaussian_csv(tmp_path / "a.csv", 6, 20))
+        monkeypatch.setattr("builtins.open", full_disk)
+        out = str(tmp_path / "x.csv")
+        argv = {"simulate": ["simulate", "fig1", "--reps", "2", "--p-grid", "6"],
+                "estimate": ["estimate", data]}[command]
+        assert main([*argv, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out!r}: No space left on device\n"
+
     def test_result_file_with_wrong_header(self, tmp_path):
         path = tmp_path / "results.csv"
         path.write_text("experiment,p,n\nfig1,10,30\n")
@@ -599,21 +636,27 @@ class TestEstimate:
             "isotropic precision estimate needs p > n\n")
         assert not out.exists()
 
-    # Exit codes without a flag, with --identity-case and with --pseudo-inverse.
-    @pytest.mark.parametrize("p, n, codes", [
-        (6, 20, (0, 2, 2)), (10, 10, (2, 2, 0)), (12, 6, (2, 0, 0)), (48, 50, (3, 2, 2))],
-        ids=["tall", "square", "wide", "band"])
+    # Exit codes without a flag, with --identity-case and with --pseudo-inverse. At a data
+    # magnitude of 1e-158 the sample covariance is subnormal and has no finite inverse.
+    @pytest.mark.parametrize("p, n, factor, codes", [
+        (6, 20, 1.0, (0, 2, 2)), (10, 10, 1.0, (2, 2, 0)), (12, 6, 1.0, (2, 0, 0)),
+        (48, 50, 1.0, (3, 2, 2)), (40, 5, 1e-158, (2, 3, 3)), (5, 40, 1e-158, (3, 2, 2))],
+        ids=["tall", "square", "wide", "band", "tiny-wide", "tiny-tall"])
     @pytest.mark.parametrize("column, flag", enumerate([None, "--identity-case",
                                                         "--pseudo-inverse"]),
                              ids=["no-flag", "identity-case", "pseudo-inverse"])
-    def test_exit_code_matrix(self, tmp_path, capsys, p, n, codes, column, flag):
-        data = write_gaussian_csv(tmp_path / "data.csv", p, n, seed=p)
+    def test_exit_code_matrix(self, tmp_path, capsys, p, n, factor, codes, column, flag):
+        data = write_gaussian_csv(tmp_path / "data.csv", p, n, seed=p, factor=factor)
         out = tmp_path / "out.csv"
         code = codes[column]
         assert main(["estimate", str(data), *([flag] if flag else []), "--out", str(out)]) == code
         assert out.exists() == (code == 0)
+        err = capsys.readouterr().err
         if flag and code == 2:
-            assert capsys.readouterr().err.startswith(f"error: {flag} does not apply at p = {p}, ")
+            assert err.startswith(f"error: {flag} does not apply at p = {p}, ")
+        if factor != 1.0 and code == 3:
+            assert re.fullmatch(r"numeric failure: sample covariance is too small to invert: "
+                                r"kept eigenvalue \S+, largest data magnitude \S+\n", err)
 
     @pytest.mark.parametrize("flag", ["--identity-case", "--pseudo-inverse"])
     @pytest.mark.parametrize("extra", [["--target", "mystery"], ["--target", "true_precision"],
@@ -1128,3 +1171,32 @@ class TestTargetFuzz:
                     contextlib.redirect_stderr(io.StringIO()):
                 code, _ = _run_target(place, entry, fuzz_dir)
             assert code in (0, 2, 3), (place, entry)
+
+
+class TestEstimateFuzz:
+    """Bad data for estimate: any magnitude, constant rows, both sides of p = n."""
+
+    @pytest.mark.filterwarnings("ignore:all eigenvalues below rank tolerance:RuntimeWarning")
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(p=st.integers(1, 60), n=st.integers(2, 60), exponent=st.floats(-170.0, 160.0),
+           constant_rows=st.integers(0, 60), seed=st.integers(0, 2**16), center=st.booleans(),
+           rows=st.sampled_from(["variables", "observations"]),
+           mode=st.sampled_from([[], ["--identity-case"], ["--pseudo-inverse"]]))
+    @example(p=40, n=5, exponent=-158.0, constant_rows=0, seed=0, center=False, rows="variables",
+             mode=["--pseudo-inverse"])
+    def test_any_data_exits_cleanly(self, fuzz_dir, p, n, exponent, constant_rows, seed, center,
+                                    rows, mode):
+        values = 10.0**exponent * np.random.default_rng(seed).standard_normal((p, n))
+        values[:constant_rows] = 10.0**exponent
+        data, out = fuzz_dir / "data.csv", fuzz_dir / "out.csv"
+        np.savetxt(data, values if rows == "variables" else values.T, delimiter=",")
+        out.unlink(missing_ok=True)
+        argv = ["estimate", str(data), *mode, *(["--center"] if center else []), "--rows", rows,
+                "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", ndmin=2)))
+        else:
+            assert not out.exists()

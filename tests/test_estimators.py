@@ -39,8 +39,9 @@ from precshrink.estimators import (
     domain_error,
     hessian_determinant,
     optimal_weights_from_functionals,
+    plug_in_weights,
 )
-from precshrink.linalg import symmetrize
+from precshrink.linalg import SampleStats, symmetrize
 from precshrink.simulation import (
     _ESTIMATORS,
     THREE_BLOCK,
@@ -468,6 +469,13 @@ class TestIsotropicPrecisionEstimate:
         with pytest.raises(SingularMatrixError, match=r"data rank 4 < n = 5$"):
             estimate_isotropic_precision(stats)
 
+    def test_overflowing_scale_is_numeric_error(self):
+        # r (r - 1) = 56 times a finite trace of 5e307.
+        stats = SampleStats(np.zeros((40, 40)), np.r_[np.zeros(35), np.full(5, 1e-307)],
+                            np.eye(40), np.r_[np.zeros(35), np.full(5, 1e307)], 5)
+        with pytest.raises(NumericError, match="isotropic precision scale overflows"):
+            estimate_isotropic_precision(stats)
+
     def test_monte_carlo_consistency(self):
         sigma, p, n = 2.0, 120, 60
         truth = CovarianceModel.isotropic(p, sigma)
@@ -587,6 +595,11 @@ class TestWeightHelper:
             alpha, beta = optimal_weights_from_functionals(a, b, c, f, g)
             expected = np.linalg.solve(np.array([[f, c], [c, g]]), np.array([a, b]))
             np.testing.assert_allclose([alpha, beta], expected, rtol=1e-10)
+
+    def test_overflowing_squared_trace_is_numeric_error(self):
+        # A Python float's square raises OverflowError; the determinant itself is finite.
+        with pytest.raises(NumericError, match="squared trace 1.000e\\+155 of the weights overflows"):
+            plug_in_weights(1e307, 1.0, 0.0, 1e155, 10, 0.5)
 
 
 # Each dense function and the estimator ids whose domain it enforces, in order.

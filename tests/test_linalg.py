@@ -147,6 +147,23 @@ class TestSampleCovariance:
         with pytest.raises(NumericError, match="sample covariance overflows"):
             sample_covariance(y, center=True)
 
+    @pytest.mark.parametrize("shape", [(40, 5), (5, 40)], ids=["wide", "tall"])
+    def test_underflowing_covariance_is_numeric_error(self, shape):
+        # S is subnormal, so the rank tolerance p * eps * max is 0 and keeps every positive
+        # eigenvalue; their reciprocals overflow, with no warning from the division.
+        y = 1e-158 * np.random.default_rng(9).standard_normal(shape)
+        with pytest.raises(NumericError, match="sample covariance is too small to invert: "
+                                               "kept eigenvalue .*, largest data magnitude"):
+            sample_covariance(y)
+
+    def test_dense_inverse_stays_finite(self):
+        # The relative rank tolerance keeps a tiny eigenvalue of a tiny S. At 1.2e-308 its
+        # reciprocal, doubled by symmetrizing, stays finite; at 1e-308 it would overflow.
+        inverse = sample_covariance(diag_sample([1e-293, 1.2e-308], 3)).inverse
+        assert np.all(np.isfinite(inverse)) and inverse[1, 1] > 8e307
+        with pytest.raises(NumericError, match="too small to invert: kept eigenvalue 1.000e-308"):
+            sample_covariance(diag_sample([1e-293, 1e-308], 3))
+
     def test_overflowing_squared_norm_is_numeric_error(self):
         assert frobenius_sq(np.array([3.0, 4.0])) == 25.0
         with pytest.raises(NumericError, match="squared Frobenius norm overflows"):
