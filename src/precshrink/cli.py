@@ -94,7 +94,7 @@ def cmd_estimate(args) -> int:
                      if domain_error(ISOTROPIC_PRECISION, data.p, data.n) is None else "")
         outside = RegimeError("p >= n: no feasible shrinkage estimator exists for a general "
                               f"covariance; pass {isotropic}--pseudo-inverse (raw)")
-    if outside:  # a NearSingularRegimeError in the near-singular band: exit 3
+    if outside:  # exit 2, or 3 for the near-singular band's NearSingularRegimeError
         raise outside
     target = spec.resolve(data.p)[0] if spec else None
     out = args.out or f"{os.path.splitext(args.data)[0]}.precision.csv"

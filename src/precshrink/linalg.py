@@ -198,8 +198,8 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
     rather than silently falling back to the pseudo-inverse. Data whose Gram
     matrix overflows raises :class:`NumericError`, and so does data so small
     that twice the sum of the kept eigenvalues' reciprocals overflows: below
-    that bound every entry of ``inverse``, before and after symmetrizing, and
-    every trace of the inverse eigenvalues is finite.
+    that bound ``inverse_trace_norm`` and every entry of ``inverse``, before
+    and after symmetrizing, are finite.
 
     ``y @ y.T`` is formed by a symmetric rank-k update that mirrors one
     triangle, so S is exactly symmetric without a symmetrizing pass. Data
@@ -236,7 +236,7 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
         )
     with np.errstate(over="ignore"):
         inverse_eigenvalues = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
-        overflows = 2.0 * np.sum(inverse_eigenvalues) == np.inf  # S is near the underflow threshold
+        overflows = 2.0 * np.sum(inverse_eigenvalues) == np.inf  # S is near underflow
     if overflows:
         raise NumericError(
             f"sample covariance is too small to invert: kept eigenvalue "

@@ -37,6 +37,8 @@ import itertools
 import os
 import sys
 
+import numpy as np
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SPECTRA = ("identity", "threeblock", "prior4")
 RATIOS = ("0.5", "1.5", "3")
@@ -65,8 +67,6 @@ def run_logged(cli, args: list[str], log) -> None:
 
 def write_estimates(cli, folder: str) -> None:
     """Write the fixed-seed data files and run every ``estimate`` call in ``folder``."""
-    import numpy as np
-
     os.makedirs(folder, exist_ok=True)
     tall = np.random.default_rng(7).standard_normal((40, 120))
     wide = np.random.default_rng(8).standard_normal((60, 30))
