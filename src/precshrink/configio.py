@@ -260,8 +260,33 @@ def read_results(path: str) -> list[ResultRow]:
                 for record in reader]
 
 
+# Every JSON value that is not a number (a string, array or object, true, false
+# or null) holds one of these characters, so a line without them that orjson
+# parses holds only numbers, which it reads as float() does.
+_NON_NUMBER_CHARS = '"[{tfn'
+
+
+def _cells(path: str, lineno: int, stripped: str) -> np.ndarray:
+    """One line's cells, each read as ``float()`` reads it."""
+    try:
+        return np.array(stripped.split(","), dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: line {lineno}: non-numeric cell ({exc})") from exc
+
+
 def load_matrix(path: str) -> np.ndarray:
-    """Read a rectangular numeric CSV matrix, BOM or not, with per-line diagnostics."""
+    """Read a rectangular numeric CSV matrix, BOM or not, with per-line diagnostics.
+
+    Every cell is read as ``float()`` reads it. A line that can hold only
+    JSON numbers goes through orjson, whose correctly rounded reader gives the
+    same doubles about 3 times faster on 17-digit text. A line it refuses
+    (``nan``, ``.5``, ``+1``, ``1e400``, a padded ``\\x0b``, ...) or that holds
+    an exact zero (orjson reads ``-0`` as the integer 0) is read cell by cell.
+    The file is read a line at a time. orjson is imported here, so that
+    ``import precshrink`` and ``limits`` do not load it.
+    """
+    import orjson
+
     rows = []
     width = None
     try:
@@ -270,17 +295,17 @@ def load_matrix(path: str) -> np.ndarray:
                 stripped = line.strip()
                 if not stripped:
                     continue
-                cells = stripped.split(",")
+                count = stripped.count(",") + 1
                 if width is None:
-                    width = len(cells)
-                elif len(cells) != width:
-                    raise ConfigError(
-                        f"{path}: line {lineno} has {len(cells)} cells, expected {width}"
-                    )
-                try:
-                    rows.append(np.array(cells, dtype=float))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: line {lineno}: non-numeric cell ({exc})") from exc
+                    width = count
+                elif count != width:
+                    raise ConfigError(f"{path}: line {lineno} has {count} cells, expected {width}")
+                row = None
+                if not any(char in stripped for char in _NON_NUMBER_CHARS):
+                    with contextlib.suppress(orjson.JSONDecodeError):
+                        row = np.array(orjson.loads(f"[{stripped}]"), dtype=float)
+                rows.append(row if row is not None and row.all()
+                            else _cells(path, lineno, stripped))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read matrix {path!r}: {exc}") from exc
     if not rows:

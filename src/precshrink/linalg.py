@@ -199,7 +199,9 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
     matrix overflows raises :class:`NumericError`, and so does data so small
     that twice the sum of the kept eigenvalues' reciprocals overflows: below
     that bound ``inverse_trace_norm`` and every entry of ``inverse``, before
-    and after symmetrizing, are finite.
+    and after symmetrizing, are finite. Nonzero (centered) data whose S
+    underflows to zero raises :class:`NumericError` too; only all-zero data
+    gets the zero pseudo-inverse, with a ``RuntimeWarning``.
 
     ``y @ y.T`` is formed by a symmetric rank-k update that mirrors one
     triangle, so S is exactly symmetric without a symmetrizing pass. Data
@@ -222,6 +224,9 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
     eigenvalues, eigenvectors = np.linalg.eigh(s)
     tol = rank_tolerance(eigenvalues, p)
     positive = eigenvalues > tol
+    if not positive[-1] and np.any(y):  # S is zero, although its data is not
+        raise NumericError(f"sample covariance underflows: largest data magnitude "
+                           f"{float(np.max(np.abs(y))):.3e}")
     if p < n and not positive[0]:
         raise SingularMatrixError(
             f"sample covariance is numerically singular (min eigenvalue "

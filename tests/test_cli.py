@@ -633,11 +633,14 @@ class TestEstimate:
         assert not out.exists()
 
     # Exit codes without a flag, with --identity-case and with --pseudo-inverse. At a data
-    # magnitude of 1e-158 the sample covariance is subnormal and has no finite inverse.
+    # magnitude of 1e-158 the sample covariance is subnormal and has no finite inverse; at
+    # 1e-170 it underflows to exactly 0.
     @pytest.mark.parametrize("p, n, factor, codes", [
         (6, 20, 1.0, (0, 2, 2)), (10, 10, 1.0, (2, 2, 0)), (12, 6, 1.0, (2, 0, 0)),
-        (48, 50, 1.0, (3, 2, 2)), (40, 5, 1e-158, (2, 3, 3)), (5, 40, 1e-158, (3, 2, 2))],
-        ids=["tall", "square", "wide", "band", "tiny-wide", "tiny-tall"])
+        (48, 50, 1.0, (3, 2, 2)), (40, 5, 1e-158, (2, 3, 3)), (5, 40, 1e-158, (3, 2, 2)),
+        (40, 5, 1e-170, (2, 3, 3)), (5, 40, 1e-170, (3, 2, 2))],
+        ids=["tall", "square", "wide", "band", "tiny-wide", "tiny-tall", "zero-s-wide",
+             "zero-s-tall"])
     @pytest.mark.parametrize("column, flag", enumerate([None, "--identity-case",
                                                         "--pseudo-inverse"]),
                              ids=["no-flag", "identity-case", "pseudo-inverse"])
@@ -651,8 +654,10 @@ class TestEstimate:
         if flag and code == 2:
             assert err.startswith(f"error: {flag} does not apply at p = {p}, ")
         if factor != 1.0 and code == 3:
-            assert re.fullmatch(r"numeric failure: sample covariance is too small to invert: "
-                                r"kept eigenvalue \S+, largest data magnitude \S+\n", err)
+            failure = {1e-158: r"is too small to invert: kept eigenvalue \S+,",
+                       1e-170: "underflows:"}[factor]
+            assert re.fullmatch(rf"numeric failure: sample covariance {failure} "
+                                r"largest data magnitude \S+\n", err)
 
     @pytest.mark.parametrize("flag", ["--identity-case", "--pseudo-inverse"])
     @pytest.mark.parametrize("extra", [["--target", "mystery"], ["--target", "true_precision"],
@@ -794,6 +799,89 @@ class TestEstimate:
         data = write_gaussian_csv(tmp_path / "band.csv", 48, 50, seed=7)
         assert main(["estimate", str(data)]) == 3
         assert "near-singular" in capsys.readouterr().err
+
+
+_DOUBLE_CELLS = st.builds(lambda x, spell: spell(x), st.floats(allow_nan=False,
+                                                                allow_infinity=False),
+                          st.sampled_from(["{:.17g}".format, repr, "{:.20e}".format]))
+_NUMBER_CELLS = st.one_of(_DOUBLE_CELLS, st.integers(-2**70, 2**70).map(str))
+_SPELLINGS = ["0", "-0", str(2**53 + 1), str(2**63), str(2**64 + 1), "-0.0", "0e0", ".5", "5.",
+              "+1", "01", "1_000", "\u0661", "nan", "-Infinity", "1e400", "1e-400", '"1"',
+              "true", "null", "[1]"]
+_PADDING = st.sampled_from(["", " ", "\t", "\x0b"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with lines of plain numbers, lines that mix in other spellings and
+    padding, blank and ragged lines, a byte-order mark or not, LF or CRLF."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["numbers"] * 3 + ["mixed"] * 2 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(_PADDING))
+            continue
+        size = draw(st.integers(1, 5)) if kind == "ragged" else width
+        cells = st.one_of(_NUMBER_CELLS, st.sampled_from(_SPELLINGS)) if kind == "mixed" \
+            else _NUMBER_CELLS
+        lines.append(",".join(draw(_PADDING) + draw(cells) + draw(_PADDING)
+                              for _ in range(size)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return ("\ufeff" if draw(st.booleans()) else "") + newline.join(lines) + newline
+
+
+def float_oracle(path: str) -> np.ndarray:
+    """What load_matrix must return for ``path``: every cell read by ``float()``."""
+    rows, width = [], None
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
+            width = width or len(cells)
+            if len(cells) != width:
+                raise ConfigError(f"{path}: line {lineno} has {len(cells)} cells, "
+                                  f"expected {width}")
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: non-numeric cell ({exc})") from exc
+    if not rows:
+        raise ConfigError(f"{path}: empty matrix file")
+    return np.array(rows, dtype=float)
+
+
+def _loaded(load, path: str):
+    try:
+        matrix = load(path)
+    except ConfigError as exc:
+        return str(exc)
+    return matrix.shape, matrix.tobytes()
+
+
+class TestMatrixReader:
+    """load_matrix reads lines of JSON numbers through orjson and every other
+    line cell by cell; both routes must give what float() gives."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(text=csv_texts())
+    @example(text="\ufeff-0,0e0, 1e400\r\n\r\n9007199254740993,18446744073709551617,"
+                  "-0.0\r\n")
+    def test_both_routes_read_as_float(self, fuzz_dir, text):
+        path = fuzz_dir / "cells.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _loaded(configio.load_matrix, str(path)) == _loaded(float_oracle, str(path))
+
+    def test_lines_of_numbers_skip_the_per_cell_route(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a line of %.17g numbers was read cell by cell")
+
+        values = np.random.default_rng(11).standard_normal((50, 50))
+        path = tmp_path / "numbers.csv"
+        np.savetxt(path, values, delimiter=",", fmt="%.17g")
+        monkeypatch.setattr(configio, "_cells", refuse)
+        assert configio.load_matrix(str(path)).tobytes() == values.tobytes()
 
 
 class TestLimits:
@@ -962,35 +1050,43 @@ import json, sys
 
 import numpy as np
 
+
+def loaded():
+    return [name for name in ("scipy.linalg", "orjson") if name in sys.modules]
+
+
 import precshrink
 
-loaded = {"import": "scipy.linalg" in sys.modules}
+stages = {"import": loaded()}
 from precshrink import cli, simulation
 
 assert cli.main(["limits", "--spectrum", "threeblock", "--ratio", "1.5", "--p", "300",
                  "--target", "identity_over_p"]) == 0
+stages["limits"] = loaded()
 np.savetxt(sys.argv[1], np.random.default_rng(0).standard_normal((20, 60)), delimiter=",")
 assert cli.main(["estimate", sys.argv[1], "--target", "inverse-of:prior2",
                  "--out", sys.argv[2]]) == 0
-loaded["limits_and_estimate"] = "scipy.linalg" in sys.modules
+stages["estimate"] = loaded()
 config = simulation.with_overrides(simulation.builtin_experiments()["fig1"], replications=2)
 simulation.run_grid_point(config, 12)
-loaded["grid_point"] = "scipy.linalg" in sys.modules
-print(json.dumps(loaded))
+stages["grid_point"] = loaded()
+print(json.dumps(stages))
 """
 
 
 class TestColdStart:
-    def test_scipy_linalg_loads_only_for_the_covariance_inverse(self, tmp_path, child_env):
-        # A fresh process, since this one has imported scipy.linalg long ago.
+    def test_local_imports_load_only_where_used(self, tmp_path, child_env):
+        # A fresh process, since this one has imported scipy.linalg and orjson long ago.
         done = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "data.csv"),
              str(tmp_path / "precision.csv")],
             env=child_env(), capture_output=True, text=True, timeout=120, check=True,
         )
-        loaded = json.loads(done.stdout.strip().splitlines()[-1])
-        # fig1's olse_cov_inv[prior2] row inverts a dense matrix through LAPACK.
-        assert loaded == {"import": False, "limits_and_estimate": False, "grid_point": True}
+        stages = json.loads(done.stdout.strip().splitlines()[-1])
+        # estimate reads its CSV through orjson; fig1's olse_cov_inv[prior2] row inverts a
+        # dense matrix through LAPACK.
+        assert stages == {"import": [], "limits": [], "estimate": ["orjson"],
+                          "grid_point": ["scipy.linalg", "orjson"]}
 
 
 def _realized(name, p):
@@ -1180,6 +1276,8 @@ class TestEstimateFuzz:
            mode=st.sampled_from([[], ["--identity-case"], ["--pseudo-inverse"]]))
     @example(p=40, n=5, exponent=-158.0, constant_rows=0, seed=0, center=False, rows="variables",
              mode=["--pseudo-inverse"])
+    @example(p=40, n=5, exponent=-170.0, constant_rows=0, seed=0, center=False, rows="variables",
+             mode=["--pseudo-inverse"])
     def test_any_data_exits_cleanly(self, fuzz_dir, p, n, exponent, constant_rows, seed, center,
                                     rows, mode):
         values = 10.0**exponent * np.random.default_rng(seed).standard_normal((p, n))
@@ -1193,6 +1291,9 @@ class TestEstimateFuzz:
             code = main(argv)
         assert code in (0, 2, 3)
         if code == 0:
-            assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", ndmin=2)))
+            written = np.loadtxt(out, delimiter=",", ndmin=2)
+            assert np.all(np.isfinite(written))
+            # Nonzero data has a nonzero estimate; only constant rows center to all-zero data.
+            assert np.any(written) or (center and constant_rows >= p)
         else:
             assert not out.exists()

@@ -156,6 +156,17 @@ class TestSampleCovariance:
                                                "kept eigenvalue .*, largest data magnitude"):
             sample_covariance(y)
 
+    @pytest.mark.parametrize("shape", [(40, 5), (5, 40)], ids=["wide", "tall"])
+    def test_zero_covariance_from_nonzero_data_is_numeric_error(self, shape):
+        # S underflows to exactly 0: not a zero pseudo-inverse, and not a singular S either.
+        y = 1e-170 * np.random.default_rng(9).standard_normal(shape)
+        with pytest.raises(NumericError, match=r"^sample covariance underflows: largest data "
+                                               r"magnitude \S+e-170$"):
+            sample_covariance(y)
+        # Centered constant rows are all-zero data: the degenerate path, with its warning.
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            sample_covariance(np.ones((40, 5)), center=True)
+
     def test_dense_inverse_stays_finite(self):
         # The relative rank tolerance keeps a tiny eigenvalue of a tiny S. At 1.2e-308 its
         # reciprocal, doubled by symmetrizing, stays finite; at 1e-308 it would overflow.

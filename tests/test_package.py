@@ -1,15 +1,20 @@
-"""The package's public surface: what ``import precshrink`` exports, and the
-names the benchmark's traced run wraps."""
+"""The package's public surface: what ``import precshrink`` exports, the
+distributions it declares, and the names the benchmark's traced run wraps."""
 
+import ast
+import importlib.metadata
 import importlib.util
+import re
 import sys
+import tomllib
 import types
 from pathlib import Path
 
 import precshrink
 from precshrink import simulation
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_all_lists_each_public_name_once():
@@ -22,6 +27,30 @@ def test_all_lists_each_public_name_once():
     defined = {name for name, value in vars(precshrink).items()
                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(exported) == defined
+
+
+def _normalized(name: str) -> str:
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_declared_dependencies_cover_imports():
+    """Every third-party package that a module imports, at its top or inside a
+    function, belongs to a distribution in ``[project] dependencies``."""
+    imported = set()
+    for module in (ROOT / "src" / "precshrink").glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"precshrink"}
+    assert {"numpy", "orjson", "scipy", "yaml"} <= third_party
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        requirements = tomllib.load(handle)["project"]["dependencies"]
+    declared = {_normalized(re.match(r"[A-Za-z0-9._-]+", line)[0]) for line in requirements}
+    distributions = importlib.metadata.packages_distributions()
+    for name in sorted(third_party):
+        assert {_normalized(d) for d in distributions[name]} & declared, name
 
 
 def load_by_path(monkeypatch, path: Path) -> types.ModuleType:

@@ -8,11 +8,15 @@ The package is imported from ``src/`` of the checkout this script sits in,
 and every command runs in-process through ``precshrink.cli.main``:
 
 1. ``estimate/``: fixed-seed data files (``tall.csv``, 40 x 120; its
-   transpose ``tall-observations.csv``; ``wide.csv``, 60 x 30), then seven
-   ``estimate`` calls run inside that folder: the bona fide estimator with
-   ``--target inverse-of:prior2``, with ``--clamp``, with ``--center`` and with
-   ``--rows observations``; ``--identity-case`` and ``--pseudo-inverse`` on the
-   wide file; and the wide file with no flag, which is refused. For each,
+   transpose ``tall-observations.csv``; ``wide.csv``, 60 x 30; and
+   ``spellings.csv``, 40 x 120 with a byte-order mark and CRLF endings, whose
+   cells mix integers, exact zeros, ``-0``, ``+x``, ``.5`` and ``5.``
+   spellings and padding, so that every line is read cell by cell), then
+   eight ``estimate`` calls run inside that folder: the bona fide estimator
+   with ``--target inverse-of:prior2``, with ``--clamp``, with ``--center``
+   and with ``--rows observations``; ``--identity-case`` and
+   ``--pseudo-inverse`` on the wide file; the wide file with no flag, which is
+   refused; and the bona fide estimator on the spellings file. For each,
    ``estimate.txt`` holds its argv, exit code and stdout, and the folder its
    output file.
 2. ``limits.txt``: 90 ``limits`` calls, spectra {identity, threeblock, prior4}
@@ -35,6 +39,7 @@ import contextlib
 import io
 import itertools
 import os
+import re
 import sys
 
 import numpy as np
@@ -54,7 +59,16 @@ ESTIMATES = (
     ("wide.csv", "--identity-case", "--out", "identity-case.csv"),
     ("wide.csv", "--pseudo-inverse", "--out", "pseudo-inverse.csv"),
     ("wide.csv", "--out", "refused.csv"),
+    ("spellings.csv", "--out", "spellings.precision.csv"),
 )
+
+
+def spelled(value: float, style: int) -> str:
+    """One cell of ``spellings.csv``: ``value`` written in spelling ``style``."""
+    whole = round(4 * value)
+    text = (f"{value:.17g}", str(whole), "0", "-0", f"+{abs(value):.17g}",
+            re.sub(r"\b0\.", ".", f"{value:.6f}"), f"{whole}.")[style]
+    return f" {text}\t" if style % 2 else text
 
 
 def run_logged(cli, args: list[str], log) -> None:
@@ -74,6 +88,10 @@ def write_estimates(cli, folder: str) -> None:
         for name, values in (("tall.csv", tall), ("tall-observations.csv", tall.T),
                              ("wide.csv", wide)):
             np.savetxt(name, values, delimiter=",", fmt="%.17g")
+        styles = np.random.default_rng(9).integers(0, 7, size=tall.shape)
+        with open("spellings.csv", "w", encoding="utf-8-sig", newline="\r\n") as handle:
+            for values, row in zip(tall, styles):
+                handle.write(",".join(map(spelled, values, row)) + "\n")
         for args in ESTIMATES:
             run_logged(cli, ["estimate", *args], log)
 
