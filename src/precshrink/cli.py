@@ -112,8 +112,7 @@ def cmd_estimate(args) -> int:
         result = estimate.matrix
         message = (f"target={target.name or 'custom'} "
                    f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
-    with configio.writing(out):
-        np.savetxt(out, result, delimiter=",", fmt="%.17g")
+    configio.write_matrix(out, result)
     print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={stats.regime}")
     print(message)
     print(f"precision estimate written to {out}")

@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .metrics import ResultRow
 from .simulation import (
     GAUSSIAN,
@@ -311,3 +311,25 @@ def load_matrix(path: str) -> np.ndarray:
     if not rows:
         raise ConfigError(f"{path}: empty matrix file")
     return np.array(rows, dtype=float)
+
+
+def write_matrix(path: str, matrix: np.ndarray) -> None:
+    """Write a 2-D matrix as CSV, one line per row, in shortest round-trip text.
+
+    Each row goes through orjson's float writer, which gives the shortest text
+    that reads back as the same double (``1.7891136537940072e-9``, ``-0.0``,
+    ``5e-324``), so :func:`load_matrix`, ``float()`` and ``np.loadtxt`` read
+    the written doubles back exactly. orjson writes a NaN or an infinity as
+    ``null``, so a non-finite entry raises :class:`NumericError` before the
+    file is opened. Rows are serialized one at a time, which keeps the extra
+    memory to one row's text. orjson is imported here, as in
+    :func:`load_matrix`.
+    """
+    import orjson
+
+    matrix = np.ascontiguousarray(matrix, dtype=float)  # orjson takes C-contiguous rows only
+    if not np.isfinite(matrix).all():
+        raise NumericError(f"matrix for {path!r} has a NaN or infinite entry")
+    with writing(path), open(path, "wb") as handle:
+        for row in matrix:
+            handle.write(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b"\n")

@@ -285,9 +285,12 @@ def bona_fide_olse(
 
     The oracle weights are replaced by consistent estimates computed from the
     observable sample inverse only. Without clamping the raw weights are
-    returned (alpha lies in (0, 1 - p/n) and beta > 0 whenever the target is
-    not proportional to inv(S)); with ``clamp`` alpha is projected onto
-    [0, 1 - p/n] before beta is computed.
+    returned. Their limits, as p and n grow at a fixed p/n, have alpha in
+    (0, 1 - p/n) and beta > 0 whenever the target is not proportional to
+    inv(S); a finite sample can still give alpha <= 0 (2 of 200 fig1
+    replications with the prior2 target at p = 60, n = 180). Alpha stays
+    below 1 - p/n, since the Hessian determinant is positive. With ``clamp``
+    alpha is projected onto [0, 1 - p/n] before beta is computed.
     """
     _require_domain(stats, OLSE_PRECISION)
     _check_dims(stats.p, target, "target")

@@ -16,12 +16,13 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from precshrink import CovarianceModel, generate_data, replication_rng, DistributionSpec
 from precshrink import TargetMatrix, bona_fide_olse, cli, configio, sample_covariance, simulation
 from precshrink.cli import main
 from precshrink.configio import BUILTIN_SPECTRA, read_results
-from precshrink.errors import ConfigError
+from precshrink.errors import ConfigError, NumericError
 from precshrink.spectral import realize_eigenvalues
 
 
@@ -882,6 +883,64 @@ class TestMatrixReader:
         np.savetxt(path, values, delimiter=",", fmt="%.17g")
         monkeypatch.setattr(configio, "_cells", refuse)
         assert configio.load_matrix(str(path)).tobytes() == values.tobytes()
+
+
+_EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+             np.finfo(float).max, -np.finfo(float).max, 1.7891136537940072e-9, 1e16, 1e22]
+
+
+def _read_back(path: str) -> dict:
+    """The written file read by load_matrix, by float() per cell and by np.loadtxt."""
+    return {"load_matrix": configio.load_matrix(path), "float": float_oracle(path),
+            "loadtxt": np.loadtxt(path, delimiter=",", ndmin=2)}
+
+
+class TestMatrixWriter:
+    """write_matrix writes shortest round-trip text that every reader reads back
+    as the written doubles, and refuses what it cannot write as a number."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(matrix=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                             elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                                st.sampled_from(_EXTREMES))))
+    @example(matrix=np.array(_EXTREMES[:10]).reshape(2, 5))
+    def test_readers_get_the_written_doubles(self, fuzz_dir, matrix):
+        path = str(fuzz_dir / "written.csv")
+        configio.write_matrix(path, matrix)
+        for reader, read in _read_back(path).items():
+            assert (reader, read.shape, read.tobytes()) == (reader, matrix.shape, matrix.tobytes())
+
+    def test_non_contiguous_input(self, tmp_path):
+        matrix = np.random.default_rng(5).standard_normal((3, 7))
+        path = str(tmp_path / "transposed.csv")
+        configio.write_matrix(path, matrix.T)
+        assert configio.load_matrix(path).tobytes() == np.ascontiguousarray(matrix.T).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_numeric_error(self, tmp_path, bad):
+        matrix = np.eye(3)
+        matrix[1, 2] = bad
+        path = tmp_path / "bad.csv"
+        with pytest.raises(NumericError, match="NaN or infinite entry"):
+            configio.write_matrix(str(path), matrix)
+        assert not path.exists()
+
+    def test_estimate_maps_a_non_finite_result_to_exit_3(self, tmp_path, monkeypatch, capsys):
+        # The estimate guards keep a real result finite, so inject one that is not.
+        real = cli.bona_fide_olse
+
+        def poisoned(*args, **kwargs):
+            estimate = real(*args, **kwargs)
+            estimate.matrix[0, 0] = np.nan
+            return estimate
+
+        data = write_gaussian_csv(tmp_path / "data.csv", 5, 20)
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr(cli, "bona_fide_olse", poisoned)
+        assert main(["estimate", str(data), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric failure: ") and "NaN or infinite" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestLimits:

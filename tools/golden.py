@@ -18,7 +18,10 @@ and every command runs in-process through ``precshrink.cli.main``:
    ``--pseudo-inverse`` on the wide file; the wide file with no flag, which is
    refused; and the bona fide estimator on the spellings file. For each,
    ``estimate.txt`` holds its argv, exit code and stdout, and the folder its
-   output file.
+   output file. The output files hold ``configio.write_matrix``'s shortest
+   round-trip text; when that writer replaced ``np.savetxt(fmt="%.17g")``
+   their text changed once, with the same doubles, and the new text is the
+   one to keep.
 2. ``limits.txt``: 90 ``limits`` calls, spectra {identity, threeblock, prior4}
    x ratios {0.5, 1.5, 3} x p {300, 1000} x targets {none, identity_over_p,
    inverse-of:prior2, prior2, true_precision}; for each, its argv, exit code
