@@ -87,8 +87,8 @@ def _solve_self_consistent(d: np.ndarray, ratio: float) -> RootInfo:
 
 
 def _require_gt1(ratio: float, op: str) -> None:
-    if not ratio > 1.0:
-        raise ValueError(f"{op} requires a concentration ratio above 1, got {ratio}")
+    if not 1.0 < ratio < np.inf:  # NaN fails too
+        raise ValueError(f"{op} requires a finite concentration ratio above 1, got {ratio}")
 
 
 def _require_ratio(ratio: float) -> None:
@@ -98,7 +98,14 @@ def _require_ratio(ratio: float) -> None:
 
 def _inverse_frobenius_lt1(second: float, first: float, ratio: float, scale: float) -> float:
     """Limit of ||inv(S)||^2 from inverse spectral moments (scale 1) or sums (scale p)."""
-    return second / (1.0 - ratio) ** 2 + ratio * first**2 / (scale * (1.0 - ratio) ** 3)
+    try:
+        limit = second / (1.0 - ratio) ** 2 + ratio * first**2 / (scale * (1.0 - ratio) ** 3)
+    except OverflowError:  # a Python float's ** raises where * and / give inf
+        limit = math.inf
+    if not math.isfinite(limit):
+        raise NumericError(f"inverse Frobenius limit overflows at ratio {ratio!r} "
+                           f"(inverse moments {first:.3e} and {second:.3e})")
+    return limit
 
 
 def inverse_frobenius_limit(spec: SpectrumSpec, ratio: float) -> float:
@@ -136,6 +143,9 @@ def _equivalent(
     x = dual.value
     if not np.finfo(float).tiny <= x * x < np.inf:
         raise NumericError(f"dual trace root x={x!r} has no representable square")
+    largest = float(np.max(precision)) + x  # the largest (1/tau + x), squared below
+    if not largest * largest < np.inf:
+        raise NumericError(f"curvature term (1/tau + x)^2 overflows at 1/tau + x = {largest:.3e}")
     denominator = 1.0 / x**2 - ratio / truth.p * float(np.sum(1.0 / (precision + x) ** 2))
     if denominator <= 0.0:
         raise ValueError("inconsistent input: nonpositive curvature denominator")

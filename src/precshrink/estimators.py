@@ -198,11 +198,14 @@ def optimal_weights_from_functionals(
 
     Arguments are the five scalar functionals the loss depends on; the same
     formulas serve the finite-sample oracles (fed sample functionals) and the
-    asymptotic limits (fed deterministic equivalents).
+    asymptotic limits (fed deterministic equivalents). Raises
+    :class:`NumericError` when a weight overflows.
     """
     det = hessian_determinant(inv_frobenius_sq, target_frobenius_sq, inv_target_trace)
     alpha = (inv_truth_trace * target_frobenius_sq - truth_target_trace * inv_target_trace) / det
     beta = (truth_target_trace * inv_frobenius_sq - inv_truth_trace * inv_target_trace) / det
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise NumericError(f"shrinkage weights overflow: alpha={alpha!r}, beta={beta!r}")
     return alpha, beta
 
 
@@ -259,10 +262,7 @@ def trace_precision_estimate(stats: SampleStats, theta: np.ndarray) -> float:
     _check_dims(stats.p, theta, "theta")
     if not is_symmetric(theta):
         raise ValueError("theta must be symmetric")
-    # trace via the cached eigendecomposition: sum_i (u_i' theta u_i) / lambda_i
-    rotated = theta @ stats.eigenvectors
-    quadratic = np.einsum("ij,ij->j", stats.eigenvectors, rotated)
-    return (1.0 - stats.ratio) * float(np.sum(quadratic / stats.eigenvalues))
+    return (1.0 - stats.ratio) * trace_product(stats.inverse, theta)
 
 
 def precision_frobenius_estimate(stats: SampleStats) -> float:

@@ -420,13 +420,8 @@ def run_grid_point(
                 weights[planned.row_id] = pair
         return ReplicationResult(index=r, losses=losses, weights=weights)
 
-    indices = range(config.replications)
-    workers = min(threads, usable_cpus(), config.replications)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_replication, indices))
-    else:
-        results = [one_replication(r) for r in indices]
+    with ThreadPoolExecutor(max_workers=min(threads, usable_cpus(), config.replications)) as pool:
+        results = list(pool.map(one_replication, range(config.replications)))
 
     # Ordered reductions over replications, so the thread count never matters.
     def mean(values) -> float:

@@ -59,6 +59,12 @@ class TestInverseFrobeniusLimit:
             with pytest.raises(ValueError):
                 inverse_frobenius_limit(SpectrumSpec.identity(), bad)
 
+    def test_overflowing_squared_trace_is_numeric_failure(self):
+        # tr(inv(Sigma)) = 4e154 is finite, but its square in the norm limit is not.
+        truth = CovarianceModel.isotropic(10, 2.5e-154)
+        with pytest.raises(NumericError, match="inverse Frobenius limit overflows"):
+            limit_weights(truth, TargetMatrix.identity_over_p(10), 0.5)
+
     def test_matches_monte_carlo(self):
         p, ratio, reps = 120, 0.5, 100
         truth = build_covariance(THREE_BLOCK, p)
@@ -106,10 +112,17 @@ class TestDualTraceLimit:
         values = [dual_inverse_trace_limit(truth, r) for r in (1.1, 1.5, 2.0, 3.0, 5.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_requires_ratio_above_one(self):
+    @pytest.mark.parametrize("ratio", [0.8, float("inf"), float("nan")])
+    @pytest.mark.parametrize("limit", [
+        dual_inverse_trace_limit,
+        dual_inverse_frobenius_limit,
+        lambda truth, ratio: pinv_weighted_trace_limit(truth, np.eye(truth.p), ratio),
+        lambda truth, ratio: pinv_bilinear_limit(truth, np.ones(truth.p), np.ones(truth.p), ratio),
+    ], ids=["dual_trace", "dual_frobenius", "pinv_weighted_trace", "pinv_bilinear"])
+    def test_requires_ratio_above_one(self, limit, ratio):
         truth = CovarianceModel.isotropic(10, 1.0)
-        with pytest.raises(ValueError):
-            dual_inverse_trace_limit(truth, 0.8)
+        with pytest.raises(ValueError, match=f"finite concentration ratio above 1, got {ratio}"):
+            limit(truth, ratio)
 
 
 def brentq_root(d, ratio):
@@ -479,6 +492,18 @@ class TestLimitFunctionalsBundle:
         truth = build_covariance(THREE_BLOCK, 30)
         with pytest.raises(ValueError, match="finite, positive and different from 1"):
             limit_weights(truth, TargetMatrix.identity_over_p(30), ratio)
+
+    @pytest.mark.parametrize("limit, ratio", [
+        (limit_weights, 0.5),
+        (limit_weights, 1.5),
+        (lambda truth, target, ratio: compute_limit_functionals(truth, ratio, target=target), 1.5),
+        (lambda truth, target, ratio: pinv_weighted_trace_limit(truth, target.matrix, ratio), 1.5),
+    ], ids=["limit_weights-0.5", "limit_weights-1.5", "compute_limit_functionals",
+            "pinv_weighted_trace_limit"])
+    def test_wrong_size_target_rejected(self, limit, ratio):
+        truth = build_covariance(THREE_BLOCK, 5)
+        with pytest.raises(ValueError, match=r"(target|theta) must be 5x5, got \(4, 4\)"):
+            limit(truth, TargetMatrix.identity_over_p(4), ratio)
 
     def test_dual_fixed_point_solved_once(self, monkeypatch):
         truth = build_covariance(THREE_BLOCK, 30)

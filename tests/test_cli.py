@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -486,6 +487,17 @@ class TestRejectedInput:
          "invalid YAML at line 3, column 7"),
         ("simulate", "- spectrum: threeblock\n", "experiment config must be a mapping"),
         ("limits", "- {weight: 1.0, eigenvalue: [\n", "invalid YAML/JSON"),
+        ("limits", "[]\n", "spectrum must be a non-empty list of {weight, eigenvalue} pairs"),
+        ("limits", "- {weight: 1.0}\n", "spectrum entry 0: expected keys 'weight' and "
+         "'eigenvalue', got {'weight': 1.0}"),
+        ("limits", "- {weight: 1.0, eigenvalue: 2.0, scale: 3}\n", "spectrum entry 0: expected "
+         "keys 'weight' and 'eigenvalue', got {'weight': 1.0, 'eigenvalue': 2.0, 'scale': 3}"),
+        ("limits", "- 2.0\n", "spectrum entry 0: expected keys 'weight' and 'eigenvalue', "
+         "got 2.0"),
+        ("simulate", config_text(distribution="5"),
+         "distribution must be a mapping with a 'kind' key, got 5"),
+        ("simulate", config_text(distribution="[gaussian]"),
+         "distribution must be a mapping with a 'kind' key, got ['gaussian']"),
         ("estimate", "", "empty matrix file"),
         ("estimate", None, "cannot read matrix"),
     ])
@@ -1089,6 +1101,38 @@ class TestLimits:
         else:
             assert (code, err.getvalue()) == (0, "")
             assert float(out.getvalue().split()[0].removeprefix("ratio=")) == ratio
+
+    @pytest.mark.parametrize("target", [None, "identity_over_p"])
+    @pytest.mark.parametrize("ratio, message", [
+        ("0.5", "inverse Frobenius limit overflows"),
+        ("1.5", "curvature term (1/tau + x)^2 overflows")])
+    def test_overflowing_limit_exit_3(self, tmp_path, capsys, target, ratio, message):
+        # inv(Sigma) reaches 1e154: its squared-norm limit, and above 1 the
+        # curvature term (1e154 + x)^2, exceed the largest double.
+        spec = tmp_path / "s.json"
+        spec.write_text('[{"weight": 0.5, "eigenvalue": 1.0e-154}, '
+                        '{"weight": 0.5, "eigenvalue": 1.0}]')
+        argv = ["limits", "--spectrum", str(spec), "--ratio", ratio, "--p", "10"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + (["--target", target] if target else [])) == 3
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"numeric failure: {message}")
+
+    def test_overflowing_weight_exit_3(self, tmp_path, capsys):
+        # Every limit is finite, but the limiting beta overflows.
+        spec = tmp_path / "s.json"
+        spec.write_text('[{"weight": 0.5, "eigenvalue": 1.0e-154}, '
+                        '{"weight": 0.5, "eigenvalue": 1.0e-100}]')
+        argv = ["limits", "--spectrum", str(spec), "--ratio", "3", "--p", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--target", "identity_over_p"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: shrinkage weights overflow")
 
     @pytest.mark.parametrize("target, code", [(None, 0), ("identity_over_p", 3)])
     def test_eigenvalue_with_overflowing_square(self, tmp_path, capsys, target, code):

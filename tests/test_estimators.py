@@ -1,6 +1,7 @@
 """Oracle and bona fide shrinkage estimators, benchmarks, and functionals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,11 @@ class TestTargetMatrix:
         for not_1d in (m, np.ones(()), np.ones(0)):  # a diagonal is a non-empty 1-D array
             with pytest.raises(ValueError, match="non-empty 1-D array"):
                 TargetMatrix.from_diagonal(not_1d)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), ()])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=rf"square matrix, got shape {re.escape(str(shape))}"):
+            TargetMatrix.from_matrix(np.ones(shape))
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -283,6 +289,11 @@ class TestConsistentFunctionals:
             stats = sample_covariance(observe(truth, rng.standard_normal((p, n))))
             values.append(trace_precision_estimate(stats, theta))
         assert abs(np.mean(values) - 1.0) < 0.03
+
+    def test_trace_estimate_rejects_asymmetric_theta(self):
+        _, stats = random_instance(np.random.default_rng(10), 2, 20)
+        with pytest.raises(ValueError, match="theta must be symmetric"):
+            trace_precision_estimate(stats, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_trace_estimate_rejects_pseudo(self):
         rng = np.random.default_rng(10)
@@ -596,6 +607,11 @@ class TestWeightHelper:
             expected = np.linalg.solve(np.array([[f, c], [c, g]]), np.array([a, b]))
             np.testing.assert_allclose([alpha, beta], expected, rtol=1e-10)
 
+    def test_overflowing_weight_is_numeric_error(self):
+        # The determinant is 1e200, but tr(inv(Sigma) T) ||A||^2 = 1e400 is not a double.
+        with pytest.raises(NumericError, match="shrinkage weights overflow: .* beta=inf"):
+            optimal_weights_from_functionals(1.0, 1e200, 0.0, 1e200, 1.0)
+
     def test_overflowing_squared_trace_is_numeric_error(self):
         # A Python float's square raises OverflowError; the determinant itself is finite.
         with pytest.raises(NumericError, match=r"squared trace 1.000e\+155 of the weights"):
@@ -614,6 +630,21 @@ DENSE_DOMAINS = [
     (lambda stats, truth, target: oracle_equivariant(stats, truth), (EV_ORACLE,)),
     (lambda stats, truth, target: estimate_isotropic_precision(stats), (ISOTROPIC_PRECISION,)),
 ]
+
+
+@pytest.mark.parametrize("function, message", [
+    (lambda stats: bona_fide_olse(stats, TargetMatrix.identity_over_p(5)),
+     r"target has shape \(5, 5\), expected \(6, 6\)"),
+    (lambda stats: oracle_olse_lt1(stats, CovarianceModel.isotropic(5, 1.0),
+                                   TargetMatrix.identity_over_p(6)),
+     "truth has dimension 5, expected 6"),
+    (lambda stats: oracle_equivariant(stats, CovarianceModel.isotropic(5, 1.0)),
+     "truth has dimension 5, expected 6"),
+], ids=["bona_fide_olse", "oracle_olse_lt1", "oracle_equivariant"])
+def test_dense_functions_reject_wrong_sizes(function, message):
+    _, stats = random_instance(np.random.default_rng(11), 6, 40)
+    with pytest.raises(ValueError, match=message):
+        function(stats)
 
 
 class TestDomain:

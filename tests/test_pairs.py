@@ -92,6 +92,19 @@ def test_failed_operation_exits_1(trees, tmp_path):
                        "--seconds", "1"]) == 1
 
 
+def test_unknown_workload_exits_2(trees, tmp_path, capsys):
+    parent, change = trees
+    spec = json.loads((tmp_path / "BENCHMARK.json").read_text())
+    spec["workloads"] = [w for w in spec["workloads"] if w["name"] != "mc_gt1"]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    for workload in ("mystery", "mc_gt1"):
+        with pytest.raises(SystemExit) as exited:
+            pairs.main([parent, change, "--workload", workload, "--pairs", "1", "--seconds", "1"])
+        assert exited.value.code == 2
+        assert f"invalid choice: '{workload}'" in capsys.readouterr().err
+    assert not (tmp_path / "calls.log").exists()
+
+
 def test_run_without_result_exits_2(trees, tmp_path, capsys):
     parent, _ = trees
     broken = tmp_path / "broken"

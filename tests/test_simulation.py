@@ -195,15 +195,15 @@ class TestRunExperiment:
         monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingExecutor)
         config = small_config(replications=4)
         run_grid_point(config, 15, threads=64)
-        workers = min(64, simulation.usable_cpus(), 4)
-        assert requested == ([workers] if workers > 1 else [])
+        assert requested == [min(64, simulation.usable_cpus(), 4)]
         requested.clear()
         monkeypatch.setattr(simulation, "usable_cpus", lambda: 8)
-        for threads in (64, 3):
+        for threads in (64, 3, 1):
             run_grid_point(config, 15, threads=threads)
         monkeypatch.setattr(simulation, "usable_cpus", lambda: 2)
         run_grid_point(config, 15, threads=64)
-        assert requested == [4, 3, 2]
+        run_grid_point(small_config(replications=1), 15, threads=64)
+        assert requested == [4, 3, 1, 2, 1]
 
     def test_usable_cpus_follows_affinity(self):
         expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -474,6 +474,15 @@ class TestConfigValidation:
         other = TargetSpec.from_cov_spectrum("prior", SpectrumSpec.identity())
         with pytest.raises(ValueError, match="duplicate target names"):
             small_config(targets=(prior, other))
+
+    @pytest.mark.parametrize("kind, message", [
+        ("mystery", "unknown target kind 'mystery'"),
+        ("cov_spectrum", "cov_spectrum target needs a spectrum"),
+        ("precision_spectrum", "precision_spectrum target needs a spectrum"),
+    ])
+    def test_target_spec_rejects(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            TargetSpec("t", kind)
 
     def test_targeted_estimators_need_targets(self):
         with pytest.raises(ValueError, match="target spec"):

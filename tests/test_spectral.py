@@ -133,6 +133,16 @@ class TestBuildCovariance:
         with pytest.raises(ValueError, match=">= 1"):
             realize_eigenvalues(THREE_BLOCK, 0)
 
+    @pytest.mark.parametrize("eigenvalues, message", [
+        ([], "need at least one eigenvalue"),
+        ([1.0, 0.0], "finite and positive"),
+        ([1.0, -2.0], "finite and positive"),
+        ([1.0, float("nan")], "finite and positive"),
+    ])
+    def test_from_eigenvalues_rejects(self, eigenvalues, message):
+        with pytest.raises(ValueError, match=message):
+            CovarianceModel.from_eigenvalues(eigenvalues)
+
     def test_eigenvalue_reciprocal_must_be_finite(self):
         with pytest.raises(ValueError, match=r"covariance eigenvalue 1e-310 is too small"):
             CovarianceModel.from_eigenvalues([1.0, 1e-310])

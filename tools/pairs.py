@@ -10,10 +10,11 @@ tree's ``src/``. Pair ``i`` runs both trees at seed ``FIRST + i``, one
 process at a time; the parent runs first in even pairs and the change first
 in odd ones, so that neither side always meets the machine in the same state.
 
-For each end-to-end metric of ``BENCHMARK.json`` (read from the checkout this
-script sits in) it prints both medians, the median of the per-pair ratios
-change / parent, the pairs the change won (ties count for neither side), the
-parent's quartiles and a verdict:
+The workloads and the end-to-end metrics come from ``BENCHMARK.json``, read
+from the checkout this script sits in. For each metric it prints both
+medians, the median of the per-pair ratios change / parent, the pairs the
+change won (ties count for neither side), the parent's quartiles and a
+verdict:
 
 - ``unresolved``: the parent's quartile spread, relative to its median, is
   wider than the metric's bound, and not every change run beats every parent
@@ -52,10 +53,10 @@ class RunError(Exception):
     """A benchmark run that exited nonzero or printed no result."""
 
 
-def end_to_end_metrics() -> dict[str, tuple[str, float]]:
-    """Metric name -> (better, bound) from this checkout's BENCHMARK.json."""
+def benchmark() -> dict:
+    """This checkout's BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        return {m["name"]: (m["better"], m["bound"]) for m in json.load(handle)["end_to_end"]}
+        return json.load(handle)
 
 
 def run_once(tree: str, args, seed: int, names) -> dict:
@@ -142,10 +143,12 @@ def record(workload: str, entries: list[dict]) -> str:
 
 
 def main(argv=None) -> int:
+    spec = benchmark()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
-    parser.add_argument("--workload", required=True, choices=("mc_lt1", "mc_gt1", "analysis"))
+    parser.add_argument("--workload", required=True,
+                        choices=[workload["name"] for workload in spec["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -159,7 +162,8 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             parser.error(f"{tree} has no perfbench/run.py")
-    metrics = end_to_end_metrics()
+    # Metric name -> (better, bound).
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     runs = {side: [] for side in SIDES}
     entries = []
