@@ -121,6 +121,27 @@ def inverse_frobenius_limit(spec: SpectrumSpec, ratio: float) -> float:
     return _inverse_frobenius_lt1(m2, m1, ratio, 1)
 
 
+def _dual(truth: CovarianceModel, ratio: float) -> tuple[RootInfo, float]:
+    """The dual trace root x and the curvature factor x' above ratio 1
+    (Bodnar, Dette & Parolya 2016); an overflow raises :class:`NumericError`."""
+    precision = 1.0 / truth.eigenvalues
+    dual = _solve_self_consistent(precision, ratio)
+    x = dual.value
+    if not np.finfo(float).tiny <= x * x < np.inf:
+        raise NumericError(f"dual trace root x={x!r} has no representable square")
+    largest = float(np.max(precision)) + x  # the largest (1/tau + x), squared below
+    if not largest * largest < np.inf:
+        raise NumericError(f"curvature term (1/tau + x)^2 overflows at 1/tau + x = {largest:.3e}")
+    with np.errstate(over="ignore"):  # each term is at most 1 / x^2; their sum can overflow
+        curvature = ratio / truth.p * float(np.sum(1.0 / (precision + x) ** 2))
+    if curvature == np.inf:
+        raise NumericError(f"curvature sum (ratio/p) * sum((1/tau + x)^-2) overflows at x={x!r}")
+    denominator = 1.0 / x**2 - curvature
+    if denominator <= 0.0:
+        raise ValueError("inconsistent input: nonpositive curvature denominator")
+    return dual, 1.0 / denominator
+
+
 def _equivalent(
     truth: CovarianceModel, ratio: float
 ) -> tuple[np.ndarray, float, RootInfo | None, float | None]:
@@ -134,23 +155,18 @@ def _equivalent(
     (p/ratio) x'. A weighted trace limit is sum(diagonal * diag(theta)):
     numpy's pairwise sum keeps it as accurate as the dense trace, where a
     BLAS dot product moved the limiting weights by up to 2e-13 relative.
+    A diagonal whose x' tau or (x tau + 1)^2 overflows raises :class:`NumericError`.
     """
-    precision = 1.0 / truth.eigenvalues
     if ratio < 1.0:
-        return precision / (1.0 - ratio), _inverse_frobenius_lt1(
+        return 1.0 / truth.eigenvalues / (1.0 - ratio), _inverse_frobenius_lt1(
             truth.precision_frobenius_sq, truth.precision_trace_norm, ratio, truth.p), None, None
-    dual = _solve_self_consistent(precision, ratio)
-    x = dual.value
-    if not np.finfo(float).tiny <= x * x < np.inf:
-        raise NumericError(f"dual trace root x={x!r} has no representable square")
-    largest = float(np.max(precision)) + x  # the largest (1/tau + x), squared below
-    if not largest * largest < np.inf:
-        raise NumericError(f"curvature term (1/tau + x)^2 overflows at 1/tau + x = {largest:.3e}")
-    denominator = 1.0 / x**2 - ratio / truth.p * float(np.sum(1.0 / (precision + x) ** 2))
-    if denominator <= 0.0:
-        raise ValueError("inconsistent input: nonpositive curvature denominator")
-    x_prime = 1.0 / denominator
-    tau = truth.eigenvalues
+    dual, x_prime = _dual(truth, ratio)
+    x, tau = dual.value, truth.eigenvalues
+    largest = float(np.max(tau))  # both terms grow with tau
+    scaled = x * largest + 1.0
+    if not (x_prime * largest < np.inf and scaled * scaled < np.inf):
+        raise NumericError(f"pseudo-inverse equivalent overflows: x' tau = {x_prime * largest:.3e}, "
+                           f"x tau + 1 = {scaled:.3e}")
     return x_prime * tau / (x * tau + 1.0) ** 2, truth.p / ratio * x_prime, dual, x_prime
 
 
@@ -167,7 +183,7 @@ def dual_inverse_trace_limit(truth: CovarianceModel, ratio: float) -> float:
 def dual_inverse_frobenius_limit(truth: CovarianceModel, ratio: float) -> float:
     """Limit x' with (1/p) * squared Frobenius norm of pinv(S) -> x' / ratio."""
     _require_gt1(ratio, "dual_inverse_frobenius_limit")
-    return _equivalent(truth, ratio)[3]
+    return _dual(truth, ratio)[1]
 
 
 def _weighted_dual_info(truth: CovarianceModel, target: TargetMatrix, ratio: float) -> RootInfo:
@@ -228,9 +244,13 @@ def _limit_weights(
         raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.shape}")
     precision = 1.0 / truth.eigenvalues
     theta = target.diagonal if target.diagonal is not None else np.diagonal(target.matrix)
+    with np.errstate(over="ignore"):
+        traces = (trace_product(equivalent, precision), trace_product(precision, theta),
+                  trace_product(equivalent, theta))
+    if not max(traces) < np.inf:  # every term is positive
+        raise NumericError(f"limit traces overflow: {', '.join(f'{t:.3e}' for t in traces)}")
     return ShrinkageWeights(*optimal_weights_from_functionals(
-        trace_product(equivalent, precision), trace_product(precision, theta),
-        trace_product(equivalent, theta), inv_frobenius_eq, target.frobenius_sq))
+        *traces, inv_frobenius_eq, target.frobenius_sq))
 
 
 def limit_weights(truth: CovarianceModel, target: TargetMatrix, ratio: float) -> ShrinkageWeights:
@@ -266,9 +286,11 @@ def compute_limit_functionals(
             inverse_frobenius=inverse_frobenius_limit(spec, ratio) if spec is not None else None,
             weights=limit_weights(truth, target, ratio) if target is not None else None,
         )
-    equivalent, inv_frobenius_eq, dual, x_prime = _equivalent(truth, ratio)
-    target_dual = weights = None
-    if target is not None:
+    if target is None:
+        dual, x_prime = _dual(truth, ratio)
+        target_dual = weights = None
+    else:  # the diagonal equivalent enters only the weights
+        equivalent, inv_frobenius_eq, dual, x_prime = _equivalent(truth, ratio)
         target_dual = _weighted_dual_info(truth, target, ratio)
         weights = _limit_weights(truth, target, equivalent, inv_frobenius_eq)
     return LimitFunctionals(ratio=ratio, dual=dual, dual_frobenius=x_prime,

@@ -279,9 +279,12 @@ def load_matrix(path: str) -> np.ndarray:
 
     Every cell is read as ``float()`` reads it. A line that can hold only
     JSON numbers goes through orjson, whose correctly rounded reader gives the
-    same doubles about 3 times faster on 17-digit text. A line it refuses
-    (``nan``, ``.5``, ``+1``, ``1e400``, a padded ``\\x0b``, ...) or that holds
-    an exact zero (orjson reads ``-0`` as the integer 0) is read cell by cell.
+    same doubles about 3 times faster on 17-digit text; it takes the line as
+    read, since JSON allows spaces, tabs and line ends around a number, and
+    its list gives the line's width. A line it refuses (``nan``, ``.5``,
+    ``+1``, ``1e400``, a padded ``\\x0b``, ...) or that holds an exact zero
+    (orjson reads ``-0`` as the integer 0) is stripped and read cell by cell,
+    after its commas give its width. A line of whitespace alone is skipped.
     The file is read a line at a time. orjson is imported here, so that
     ``import precshrink`` and ``limits`` do not load it.
     """
@@ -292,20 +295,22 @@ def load_matrix(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
+                row = stripped = None
+                if not any(char in line for char in _NON_NUMBER_CHARS):
+                    with contextlib.suppress(orjson.JSONDecodeError):  # whitespace is JSON's
+                        row = np.array(orjson.loads(f"[{line}]"), dtype=float)
+                if row is None or not row.all():  # refused, or holds an exact zero
+                    stripped = line.strip()
+                    count = stripped.count(",") + 1 if stripped else 0
+                else:
+                    count = row.size
+                if not count:
                     continue
-                count = stripped.count(",") + 1
                 if width is None:
                     width = count
                 elif count != width:
                     raise ConfigError(f"{path}: line {lineno} has {count} cells, expected {width}")
-                row = None
-                if not any(char in stripped for char in _NON_NUMBER_CHARS):
-                    with contextlib.suppress(orjson.JSONDecodeError):
-                        row = np.array(orjson.loads(f"[{stripped}]"), dtype=float)
-                rows.append(row if row is not None and row.all()
-                            else _cells(path, lineno, stripped))
+                rows.append(row if stripped is None else _cells(path, lineno, stripped))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read matrix {path!r}: {exc}") from exc
     if not rows:

@@ -22,6 +22,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
+    SampleInverse,
     SampleStats,
     frobenius_sq,
     is_symmetric,
@@ -279,7 +280,7 @@ def precision_frobenius_estimate(stats: SampleStats) -> float:
 
 
 def bona_fide_olse(
-    stats: SampleStats, target: TargetMatrix, clamp: bool = False
+    stats: SampleStats | SampleInverse, target: TargetMatrix, clamp: bool = False
 ) -> PrecisionEstimate:
     """Feasible optimal linear shrinkage of the sample inverse (p < n).
 
@@ -290,7 +291,9 @@ def bona_fide_olse(
     inv(S); a finite sample can still give alpha <= 0 (2 of 200 fig1
     replications with the prior2 target at p = 60, n = 180). Alpha stays
     below 1 - p/n, since the Hessian determinant is positive. With ``clamp``
-    alpha is projected onto [0, 1 - p/n] before beta is computed.
+    alpha is projected onto [0, 1 - p/n] before beta is computed. Reads only
+    ``p``, ``n``, ``ratio``, ``inverse`` and the inverse's two norms, which a
+    :class:`SampleInverse` holds without an eigendecomposition.
     """
     _require_domain(stats, OLSE_PRECISION)
     _check_dims(stats.p, target, "target")

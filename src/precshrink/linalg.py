@@ -20,6 +20,10 @@ REGIME_INVERTIBLE = "invertible"
 REGIME_PSEUDO = "pseudo"
 
 SYMMETRY_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
+# sample_inverse keeps its LU inverse only when ||inv(S)||_F ||S||_F is below
+# 1 / (p eps) by this factor, which covers the rounding of both routes.
+INVERSE_MARGIN = 16.0
 
 
 # Thread-count setters of the OpenBLAS builds that the numpy (ILP64, "64_"
@@ -181,10 +185,27 @@ class SampleStats:
         return symmetrize((u * self.inverse_eigenvalues) @ u.T)
 
 
+@dataclass(frozen=True)
+class SampleInverse:
+    """inv(S) of p < n data with its trace and squared Frobenius norm, and no
+    eigendecomposition. ``p``, ``n``, ``ratio``, ``regime``, ``inverse``,
+    ``inverse_trace_norm`` and ``inverse_frobenius_sq`` read as those of
+    :class:`SampleStats` do; made by :func:`sample_inverse`."""
+
+    inverse: np.ndarray
+    inverse_trace_norm: float
+    inverse_frobenius_sq: float
+    n: int
+
+    regime = REGIME_INVERTIBLE
+    p = property(lambda self: self.inverse.shape[0])
+    ratio = property(lambda self: self.p / self.n)
+
+
 def rank_tolerance(eigenvalues: np.ndarray, p: int) -> float:
     """Cutoff below which an eigenvalue is treated as zero: p * eps * max."""
     largest = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    return p * np.finfo(float).eps * max(largest, 0.0)
+    return p * EPS * max(largest, 0.0)
 
 
 def sample_covariance(data, center: bool = False) -> SampleStats:
@@ -208,19 +229,29 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
     whose columns are not unit-strided is copied first: numpy would form its
     product by a general routine that does not mirror.
     """
+    return _spectral_stats(*_gram(data, center))
+
+
+def _gram(data, center: bool) -> tuple[DataMatrix, np.ndarray, np.ndarray]:
+    """The data, its (centered) values and S = (1/n) Y Y', refusing an S that overflows."""
     if not isinstance(data, DataMatrix):
         data = DataMatrix(np.asarray(data, dtype=float))
     y = data.values if data.values.flags.forc else np.ascontiguousarray(data.values)
-    p, n = data.p, data.n
     with np.errstate(over="ignore", invalid="ignore"):
         if center:
             y = y - y.mean(axis=1, keepdims=True)
-        s = (y @ y.T) / n
+        s = (y @ y.T) / data.n
     if not np.all(np.isfinite(s)):
         raise NumericError(
             f"sample covariance overflows (largest data magnitude "
             f"{float(np.max(np.abs(data.values))):.3e})"
         )
+    return data, y, s
+
+
+def _spectral_stats(data: DataMatrix, y: np.ndarray, s: np.ndarray) -> SampleStats:
+    """Eigendecompose S, with the rank checks of :func:`sample_covariance`."""
+    p, n = data.p, data.n
     eigenvalues, eigenvectors = np.linalg.eigh(s)
     tol = rank_tolerance(eigenvalues, p)
     positive = eigenvalues > tol
@@ -237,7 +268,7 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
             "all eigenvalues below rank tolerance; pseudo-inverse is degenerate "
             "(zero matrix)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     with np.errstate(over="ignore"):
         inverse_eigenvalues = np.where(positive, 1.0, 0.0) / np.where(positive, eigenvalues, 1.0)
@@ -249,3 +280,34 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
             f"{float(np.max(np.abs(data.values))):.3e}"
         )
     return SampleStats(s, eigenvalues, eigenvectors, inverse_eigenvalues, n)
+
+
+def sample_inverse(data, center: bool = False) -> SampleInverse | SampleStats:
+    """inv(S) with its trace and squared Frobenius norm, by LU when p < n.
+
+    Forms S as :func:`sample_covariance` does, inverts it with
+    ``np.linalg.inv`` and symmetrizes the result, about twice as fast as
+    ``eigh`` at p = 400. The inverse is kept only when a sufficient test
+    passes: ``||inv(S)||_F ||S||_F`` lies below ``1 / (p eps)`` by the factor
+    ``INVERSE_MARGIN``. Since ``lambda_min >= 1 / ||inv(S)||_F`` and
+    ``lambda_max <= ||S||_F``, a pass means that S is well inside the
+    eigenvalue check of :func:`sample_covariance`, ``lambda_min > p eps
+    lambda_max``. A singular or non-finite inverse, a trace whose double
+    overflows, or a failed test falls back to :func:`sample_covariance`'s
+    eigendecomposition, whose errors and messages this function therefore
+    shares; so does p >= n.
+    """
+    data, y, s = _gram(data, center)
+    if data.p < data.n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                inverse = symmetrize(np.linalg.inv(s))
+            except np.linalg.LinAlgError:  # exactly singular
+                return _spectral_stats(data, y, s)
+            trace = float(np.trace(inverse))
+            inverse_sq, covariance_sq = float(np.sum(inverse * inverse)), float(np.sum(s * s))
+        # Below the smallest normal double, squares of S can round to zero.
+        if (2.0 * trace < np.inf and covariance_sq >= np.finfo(float).tiny
+                and inverse_sq * covariance_sq * (INVERSE_MARGIN * data.p * EPS) ** 2 < 1.0):
+            return SampleInverse(inverse, trace, inverse_sq, data.n)
+    return _spectral_stats(data, y, s)

@@ -24,6 +24,7 @@ from precshrink import TargetMatrix, bona_fide_olse, cli, configio, sample_covar
 from precshrink.cli import main
 from precshrink.configio import BUILTIN_SPECTRA, read_results
 from precshrink.errors import ConfigError, NumericError
+from precshrink.linalg import sample_inverse
 from precshrink.spectral import realize_eigenvalues
 
 
@@ -730,7 +731,7 @@ class TestEstimate:
         out = tmp_path / "t.csv"
         assert main(["estimate", str(data), "--target", str(spec), "--out", str(out)]) == 0
         assert f"target={spec} " in capsys.readouterr().out
-        expected = bona_fide_olse(sample_covariance(np.loadtxt(data, delimiter=",")),
+        expected = bona_fide_olse(sample_inverse(np.loadtxt(data, delimiter=",")),
                                   TargetMatrix.from_spectrum(configio.load_spectrum(str(spec)), 10))
         np.testing.assert_array_equal(np.loadtxt(out, delimiter=","), expected.matrix)
 
@@ -746,11 +747,13 @@ class TestEstimate:
         assert not out.exists()
 
     def test_eigensolver_failure_exit_3(self, tmp_path, capsys, monkeypatch):
-        # numpy's LinAlgError subclasses ValueError, which would read as exit 2.
+        # numpy's LinAlgError subclasses ValueError, which would read as exit 2. A failed
+        # LU inverse falls back to the eigendecomposition, whose failure is the one reported.
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         data = write_gaussian_csv(tmp_path / "data.csv", 10, 200, seed=1)
+        monkeypatch.setattr(np.linalg, "inv", fail)
         monkeypatch.setattr(np.linalg, "eigh", fail)
         assert main(["estimate", str(data), "--out", str(tmp_path / "e.csv")]) == 3
         assert capsys.readouterr().err == "numeric failure: Eigenvalues did not converge\n"
@@ -807,6 +810,17 @@ class TestEstimate:
         assert "data rank 4 < n = 5" in capsys.readouterr().err
         assert main(["estimate", str(path), "--pseudo-inverse"]) == 0
         assert np.loadtxt(tmp_path / "deficient.precision.csv", delimiter=",").shape == (8, 8)
+
+    def test_duplicated_rows_exit_3(self, tmp_path, capsys):
+        # p < n, but a repeated variable leaves S singular: the LU route falls back to the
+        # eigenvalue check, whose message is kept.
+        values = np.random.default_rng(12).standard_normal((10, 30))
+        values[7] = values[2]
+        path = tmp_path / "repeated.csv"
+        np.savetxt(path, values, delimiter=",")
+        assert main(["estimate", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: sample covariance is numerically singular (min eigenvalue ")
 
     def test_near_singular_band_exit_3(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "band.csv", 48, 50, seed=7)
@@ -896,6 +910,23 @@ class TestMatrixReader:
         monkeypatch.setattr(configio, "_cells", refuse)
         assert configio.load_matrix(str(path)).tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1,2,3\nx,y\n", "line 2 has 2 cells, expected 3"),  # the width is reported first
+        ("1,2,3\n4,\x0b5\n", "line 2 has 2 cells, expected 3"),
+        ("1,2\n\xa0\n \x0b\t\n3,4\n", ((2, 2), np.array([[1.0, 2], [3, 4]]).tobytes())),
+        ("\x0b1.5,2\n3,-0\n", ((2, 2), np.array([[1.5, 2], [3, -0.0]]).tobytes()))],
+        ids=["wrong-width-and-non-numeric", "wrong-width-padded", "whitespace-only-lines",
+             "leading-vertical-tab"])
+    def test_precedence_and_whitespace(self, tmp_path, text, expected):
+        path = tmp_path / "cells.csv"
+        path.write_text(text, encoding="utf-8")
+        loaded = _loaded(configio.load_matrix, str(path))
+        assert loaded == _loaded(float_oracle, str(path))
+        if isinstance(expected, str):
+            assert loaded.endswith(expected)
+        else:
+            assert loaded == expected
+
 
 _EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
              np.finfo(float).max, -np.finfo(float).max, 1.7891136537940072e-9, 1e16, 1e22]
@@ -953,6 +984,46 @@ class TestMatrixWriter:
         captured = capsys.readouterr()
         assert captured.err.startswith("numeric failure: ") and "NaN or infinite" in captured.err
         assert captured.out == "" and not out.exists()
+
+
+class TestParser:
+    """main() reuses one parser; no call's options reach the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_successive_estimates_share_no_option(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = cli.bona_fide_olse
+
+        def record(stats, target, clamp=False):
+            seen.append(clamp)
+            return real(stats, target, clamp=clamp)
+
+        monkeypatch.setattr(cli, "bona_fide_olse", record)
+        data = write_gaussian_csv(tmp_path / "data.csv", 5, 40, seed=2)
+        assert main(["estimate", str(data), "--clamp", "--center"]) == 0
+        first = capsys.readouterr().out
+        assert main(["estimate", str(data)]) == 0
+        assert seen == [True, False]
+        assert capsys.readouterr().out != first  # uncentered: other weights
+
+    def test_successive_limits_share_no_option(self, capsys):
+        argv = ["limits", "--spectrum", "threeblock", "--ratio", "0.5"]
+        assert main(argv + ["--target", "identity_over_p", "--p", "20"]) == 0
+        assert "alpha=" in capsys.readouterr().out
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "alpha=" not in out and "(evaluated at p=100)" in out
+
+    def test_usage_error_after_a_cached_call(self, capsys):
+        assert main(["limits", "--spectrum", "identity", "--ratio", "0.5"]) == 0
+        for argv in (["limits", "--ratio", "0.5"], ["estimate"], ["nonsense"]):
+            with pytest.raises(SystemExit) as caught:
+                main(argv)
+            assert caught.value.code == 2
+        assert main(["limits", "--spectrum", "identity", "--ratio", "0.5"]) == 0
+        assert capsys.readouterr().err.count("usage: precshrink") == 3
 
 
 class TestLimits:
@@ -1133,6 +1204,36 @@ class TestLimits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numeric failure: shrinkage weights overflow")
+
+    @pytest.mark.parametrize("eigenvalues, ratio, p, target, code, message", [
+        # (ratio/p) sum (1/tau + x)^-2 overflows: it read as a nonpositive denominator, exit 2.
+        ((1e-154, 1e154), "3", "1000", None, 3, "curvature sum"),
+        ((1e-154, 1e154), "3", "1000", "identity_over_p", 3, "curvature sum"),
+        # (x tau + 1)^2, and near ratio 1 x' tau too, overflow in the diagonal equivalent,
+        # which only a target reads.
+        ((1e-100, 1e100), "1.5", "10", None, 0, None),
+        ((1e-100, 1e100), "1.5", "10", "identity_over_p", 3, "pseudo-inverse equivalent"),
+        ((1e-100, 1e100), "1.001", "10", None, 0, None),
+        ((1e-100, 1e100), "1.001", "10", "identity_over_p", 3, "pseudo-inverse equivalent"),
+        # tr(inv(Sigma) T) overflows before the target's squared norm is formed.
+        ((1e-154, 1e-154), "1e6", "10", "true_precision", 3, "limit traces overflow")],
+        ids=["curvature", "curvature-target", "diagonal-unread", "diagonal",
+             "near-one-unread", "near-one", "trace"])
+    def test_overflow_without_warning(self, tmp_path, capsys, eigenvalues, ratio, p, target,
+                                      code, message):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps([{"weight": 0.5, "eigenvalue": value}
+                                    for value in eigenvalues]))
+        argv = ["limits", "--spectrum", str(spec), "--ratio", ratio, "--p", p]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + (["--target", target] if target else [])) == code
+        assert caught == []
+        captured = capsys.readouterr()
+        if message:
+            assert captured.out == "" and captured.err.startswith(f"numeric failure: {message}")
+        else:
+            assert "inf" not in captured.out and "nan" not in captured.out
 
     @pytest.mark.parametrize("target, code", [(None, 0), ("identity_over_p", 3)])
     def test_eigenvalue_with_overflowing_square(self, tmp_path, capsys, target, code):

@@ -3,6 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/golden.py OUT_DIR
+    python3 tools/golden.py --compare OUT_A OUT_B
 
 The package is imported from ``src/`` of the checkout this script sits in,
 and every command runs in-process through ``precshrink.cli.main``:
@@ -34,6 +35,16 @@ because ``simulate`` sets BLAS to one thread for the rest of the process.
 
 Run it on two checkouts with the same environment, then compare with
 ``diff -r OUT_A OUT_B``; no output means the outputs are identical.
+
+A change that alters the arithmetic of ``estimate`` compares with
+``--compare OUT_A OUT_B`` instead. It requires byte identity for
+``limits.txt``, ``estimate/estimate.txt`` and every file under
+``threads*/``. For each ``estimate/*.csv`` matrix whose bytes differ it
+prints the largest entrywise difference relative to the largest magnitude
+of OUT_A's matrix, ``max|B - A| / max|A|``, both read with
+``configio.load_matrix``. It exits 1 when a file that must be
+byte-identical differs, when a file is missing on either side or when a
+matrix changes shape, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -99,11 +110,57 @@ def write_estimates(cli, folder: str) -> None:
             run_logged(cli, ["estimate", *args], log)
 
 
+def _files(root: str, folder: str) -> set[str]:
+    """Paths of the files under ``root/folder``, relative to ``root``."""
+    return {os.path.relpath(os.path.join(where, name), root)
+            for where, _, names in os.walk(os.path.join(root, folder)) for name in names}
+
+
+def compare(out_a: str, out_b: str) -> int:
+    """Print the byte identity of the exact outputs and the largest relative
+    difference of each estimate matrix; 1 if an exact output differs."""
+    from precshrink import configio
+
+    for root in (out_a, out_b):
+        if not os.path.isdir(root):
+            print(f"error: {root} is not a folder", file=sys.stderr)
+            return 2
+    exact = {"limits.txt", os.path.join("estimate", "estimate.txt")}
+    for root in (out_a, out_b):
+        exact |= {path for folder in os.listdir(root) if folder.startswith("threads")
+                  for path in _files(root, folder)}
+    matrices = {path for root in (out_a, out_b) for path in _files(root, "estimate")
+                if path.endswith(".csv")}
+    failed = 0
+    for path in sorted(exact | matrices):
+        sides = [os.path.join(root, path) for root in (out_a, out_b)]
+        if not all(map(os.path.isfile, sides)):
+            failed += 1
+            print(f"{'missing':9s}  {path}")
+            continue
+        with open(sides[0], "rb") as a, open(sides[1], "rb") as b:
+            if a.read() == b.read():
+                print(f"{'identical':9s}  {path}")
+                continue
+        if path in exact:
+            failed += 1
+            print(f"{'DIFFERS':9s}  {path}")
+            continue
+        a, b = (configio.load_matrix(side) for side in sides)
+        if a.shape != b.shape:
+            failed += 1
+            print(f"{'SHAPE':9s}  {path}  {a.shape} -> {b.shape}")
+            continue
+        scale = float(np.max(np.abs(a)))
+        relative = float(np.max(np.abs(b - a))) / (scale or 1.0)
+        print(f"{relative:9.2e}  {path}")
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/golden.py OUT_DIR", file=sys.stderr)
+    if not (len(argv) == 1 or len(argv) == 3 and argv[0] == "--compare"):
+        print("usage: python3 tools/golden.py OUT_DIR | --compare OUT_A OUT_B", file=sys.stderr)
         return 2
-    out_dir = argv[0]
     sys.path.insert(0, SRC)
     import precshrink
     from precshrink import cli
@@ -111,6 +168,9 @@ def main(argv: list[str]) -> int:
     if not os.path.abspath(precshrink.__file__).startswith(SRC + os.sep):
         print(f"error: precshrink imported from {precshrink.__file__}, not {SRC}", file=sys.stderr)
         return 2
+    if argv[0] == "--compare":
+        return compare(*argv[1:])
+    out_dir = argv[0]
     os.makedirs(out_dir, exist_ok=True)
     write_estimates(cli, os.path.join(out_dir, "estimate"))
     with open(os.path.join(out_dir, "limits.txt"), "w", encoding="utf-8") as log:
