@@ -18,7 +18,7 @@ from .asymptotics import RootInfo, compute_limit_functionals
 from .errors import ConfigError, NumericError, RegimeError
 from .estimators import ISOTROPIC_PRECISION, OLSE_PRECISION, SAMPLE_PINV, domain_error
 from .estimators import bona_fide_olse, estimate_isotropic_precision
-from .linalg import DataMatrix, sample_covariance, sample_inverse
+from .linalg import DataMatrix, sample_inverse
 from .simulation import TARGET_IDENTITY, TARGET_PRECISION_SPECTRUM, ExperimentConfig
 from .simulation import builtin_experiments, run_experiment, with_overrides
 from .spectral import build_covariance
@@ -100,9 +100,7 @@ def cmd_estimate(args) -> int:
     target = spec.resolve(data.p)[0] if spec else None
     out = args.out or f"{os.path.splitext(args.data)[0]}.precision.csv"
     configio.check_writable(out)
-    # The bona fide estimator reads only inv(S) and its norms, which LU forms faster.
-    covariance = sample_inverse if mode == OLSE_PRECISION else sample_covariance
-    stats = covariance(data, center=args.center)
+    stats = sample_inverse(data, center=args.center)
     if mode == ISOTROPIC_PRECISION:
         scale = estimate_isotropic_precision(stats)
         result = scale * np.eye(stats.p)
@@ -113,10 +111,11 @@ def cmd_estimate(args) -> int:
     else:
         estimate = bona_fide_olse(stats, target, clamp=args.clamp)
         result = estimate.matrix
-        message = (f"target={target.name or 'custom'} "
+        message = (f"target={spec.name} "
                    f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
     configio.write_matrix(out, result)
-    print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={stats.regime}")
+    regime = "invertible" if stats.p < stats.n else "pseudo"
+    print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={regime}")
     print(message)
     print(f"precision estimate written to {out}")
     return EXIT_OK

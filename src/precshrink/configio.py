@@ -170,9 +170,12 @@ def parse_experiment_config(
     payload = {"targets": [TARGET_IDENTITY], **payload}
     lists = {name: _typed(payload[name], name, list, "a list")
              for name in ("targets", "p_grid", "estimators")}
+    name = _typed(payload.get("name", default_name), "name", str, "a non-empty string")
+    if not name:
+        raise ConfigError("name must be a non-empty string, got ''")
     try:
         return ExperimentConfig(
-            name=str(payload.get("name", default_name)),
+            name=name,
             spectrum=load_spectrum(payload["spectrum"]),
             targets=tuple(parse_target(t, bare=TARGET_COV_SPECTRUM) for t in lists["targets"]),
             ratio=_number(payload["ratio"], "ratio"),
@@ -180,7 +183,8 @@ def parse_experiment_config(
             distribution=_parse_distribution(payload.get("distribution")),
             replications=_typed(payload["replications"], "replications", int, "an integer"),
             seed=_typed(seed, "seed", int, "an integer"),
-            estimators=tuple(str(e) for e in lists["estimators"]),
+            estimators=tuple(_typed(e, "estimators entry", str, "a string")
+                             for e in lists["estimators"]),
             clamp=_typed(payload.get("clamp", False), "clamp", bool, "true or false"),
             center=_typed(payload.get("center", False), "center", bool, "true or false"),
         )
@@ -264,6 +268,8 @@ def read_results(path: str) -> list[ResultRow]:
 # or null) holds one of these characters, so a line without them that orjson
 # parses holds only numbers, which it reads as float() does.
 _NON_NUMBER_CHARS = '"[{tfn'
+# An integer -0, which orjson reads as the integer 0 and float() as -0.0.
+_NEGATIVE_ZERO = re.compile(r"-0(?![0-9.eE])")
 
 
 def _cells(path: str, lineno: int, stripped: str) -> np.ndarray:
@@ -282,9 +288,9 @@ def load_matrix(path: str) -> np.ndarray:
     same doubles about 3 times faster on 17-digit text; it takes the line as
     read, since JSON allows spaces, tabs and line ends around a number, and
     its list gives the line's width. A line it refuses (``nan``, ``.5``,
-    ``+1``, ``1e400``, a padded ``\\x0b``, ...) or that holds an exact zero
-    (orjson reads ``-0`` as the integer 0) is stripped and read cell by cell,
-    after its commas give its width. A line of whitespace alone is skipped.
+    ``+1``, ``1e400``, a padded ``\\x0b``, ...) or that holds an integer
+    ``-0`` (orjson reads it as the integer 0) is stripped and read cell by
+    cell, after its commas give its width. A line of whitespace alone is skipped.
     The file is read a line at a time. orjson is imported here, so that
     ``import precshrink`` and ``limits`` do not load it.
     """
@@ -299,7 +305,7 @@ def load_matrix(path: str) -> np.ndarray:
                 if not any(char in line for char in _NON_NUMBER_CHARS):
                     with contextlib.suppress(orjson.JSONDecodeError):  # whitespace is JSON's
                         row = np.array(orjson.loads(f"[{line}]"), dtype=float)
-                if row is None or not row.all():  # refused, or holds an exact zero
+                if row is None or (not row.all() and _NEGATIVE_ZERO.search(line)):
                     stripped = line.strip()
                     count = stripped.count(",") + 1 if stripped else 0
                 else:

@@ -26,6 +26,7 @@ from .linalg import (
     SampleStats,
     frobenius_sq,
     is_symmetric,
+    symmetric_inverse,
     symmetrize,
     trace_product,
 )
@@ -89,7 +90,6 @@ class TargetMatrix:
     """
 
     data: np.ndarray
-    name: str = ""
 
     diagonal = property(lambda self: self.data if self.data.ndim == 1 else None)
     shape = property(lambda self: (len(self.data),) * 2)
@@ -97,7 +97,7 @@ class TargetMatrix:
     frobenius_sq = cached_property(lambda self: frobenius_sq(self.data))
 
     @classmethod
-    def from_diagonal(cls, diagonal: np.ndarray, name: str = "") -> "TargetMatrix":
+    def from_diagonal(cls, diagonal: np.ndarray) -> "TargetMatrix":
         """Diagonal target ``diag(diagonal)``; a float array is stored, not copied."""
         d = np.asarray(diagonal, dtype=float)
         if d.ndim != 1 or d.size == 0:
@@ -108,10 +108,10 @@ class TargetMatrix:
         if smallest <= 0.0:
             raise ValueError(
                 f"target matrix must be positive definite (min eigenvalue {smallest:.3e})")
-        return cls(d, name)
+        return cls(d)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, name: str = "") -> "TargetMatrix":
+    def from_matrix(cls, matrix: np.ndarray) -> "TargetMatrix":
         m = np.array(matrix, dtype=float, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"target must be a square matrix, got shape {m.shape}")
@@ -119,29 +119,29 @@ class TargetMatrix:
             raise ValueError("target matrix must be finite")
         diagonal = np.diagonal(m)
         if np.count_nonzero(m) == np.count_nonzero(diagonal):  # off-diagonal all zero
-            return cls.from_diagonal(diagonal.copy(), name=name)
+            return cls.from_diagonal(diagonal.copy())
         if not is_symmetric(m):
             raise ValueError("target matrix must be symmetric (within 1e-12)")
         cls.from_diagonal(np.linalg.eigvalsh(m))  # positive definite: all eigenvalues > 0
-        return cls(m, name)
+        return cls(m)
 
     @classmethod
     def identity_over_p(cls, p: int) -> "TargetMatrix":
-        return cls.from_diagonal(np.full(p, 1.0 / p), name="identity_over_p")
+        return cls.from_diagonal(np.full(p, 1.0 / p))
 
     @classmethod
-    def from_spectrum(cls, spec: SpectrumSpec, p: int, name: str = "") -> "TargetMatrix":
-        return cls.from_diagonal(realize_eigenvalues(spec, p), name=name)
+    def from_spectrum(cls, spec: SpectrumSpec, p: int) -> "TargetMatrix":
+        return cls.from_diagonal(realize_eigenvalues(spec, p))
 
     @classmethod
-    def inverse_of_spectrum(cls, cov_spec: SpectrumSpec, p: int, name: str = "") -> "TargetMatrix":
+    def inverse_of_spectrum(cls, cov_spec: SpectrumSpec, p: int) -> "TargetMatrix":
         """Precision target as the inverse of a prior covariance spectrum.
 
         The reciprocal values stay at the positions of the ascending
         covariance realization, so the target's blocks line up with the
         covariance blocks they are priors for.
         """
-        return cls.from_diagonal(1.0 / realize_eigenvalues(cov_spec, p), name=name)
+        return cls.from_diagonal(1.0 / realize_eigenvalues(cov_spec, p))
 
 
 @dataclass(frozen=True)
@@ -363,41 +363,8 @@ def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceE
     alpha, beta = plug_in_weights(frobenius_sq(s), target_cov.frobenius_sq, trace_product(s, c),
                                   float(np.trace(s)), stats.n, 1.0)
     sigma_hat = alpha * s + beta * c
-    inverse = _symmetric_inverse(sigma_hat)
+    inverse = symmetric_inverse(sigma_hat)
     return CovarianceEstimate(sigma_hat, inverse, ShrinkageWeights(alpha, beta))
-
-
-def _require_nonsingular(eigenvalues: np.ndarray) -> None:
-    """Raise :class:`SingularMatrixError` when the symmetric matrix with these
-    eigenvalues is numerically singular: min |w| <= p * eps * max |w|."""
-    magnitude = np.abs(eigenvalues)
-    if np.min(magnitude) <= eigenvalues.size * np.finfo(float).eps * np.max(magnitude):
-        raise SingularMatrixError("covariance shrinkage estimate is numerically singular")
-
-
-def _symmetric_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric matrix by one Cholesky factorization.
-
-    ``potrf`` factors ``a`` into an upper factor with a zeroed lower
-    triangle, and ``potri`` overwrites the factor's upper triangle with that
-    of the inverse. Adding the transpose mirrors it, so the result is exactly
-    symmetric. A matrix that is not positive definite falls back to ``eigh``
-    and raises :class:`SingularMatrixError` when it is numerically singular.
-    The import is local: loading ``scipy.linalg`` takes longer than a whole
-    ``limits`` call, and nothing else in the package needs it.
-    """
-    from scipy.linalg import lapack
-
-    factor, info = lapack.dpotrf(np.asarray_chkfinite(a), clean=True)
-    if info == 0:
-        upper, info = lapack.dpotri(factor, overwrite_c=True)
-    if info == 0:
-        inverse = upper + upper.T
-        np.fill_diagonal(inverse, np.diagonal(upper))
-        return inverse
-    w, v = np.linalg.eigh(a)
-    _require_nonsingular(w)
-    return symmetrize((v / w) @ v.T)
 
 
 def oracle_equivariant(stats: SampleStats, truth: CovarianceModel) -> PrecisionEstimate:

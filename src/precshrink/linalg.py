@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra kernels.
 
-Sample covariance, symmetric eigendecomposition, inverse / Moore-Penrose
-pseudo-inverse via the spectral route, the trace and Frobenius helpers used
-by the estimators, and the switch to single-threaded BLAS that replication
-work runs under.
+Sample covariance, symmetric eigendecomposition, every inverse the package
+forms (the sample inverse by LU, the Moore-Penrose pseudo-inverse via the
+spectral route, a symmetric inverse by Cholesky), the trace and Frobenius
+helpers used by the estimators, and the switch to single-threaded BLAS that
+replication work runs under.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, SingularMatrixError
-
-REGIME_INVERTIBLE = "invertible"
-REGIME_PSEUDO = "pseudo"
 
 SYMMETRY_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
@@ -165,10 +163,6 @@ class SampleStats:
         return self.p / self.n
 
     @property
-    def regime(self) -> str:
-        return REGIME_INVERTIBLE if self.p < self.n else REGIME_PSEUDO
-
-    @property
     def inverse_trace_norm(self) -> float:
         return float(np.sum(self.inverse_eigenvalues))
 
@@ -180,15 +174,13 @@ class SampleStats:
     @cached_property
     def inverse(self) -> np.ndarray:
         u = self.eigenvectors
-        if self.p < self.n:  # one rounding per entry, not two
-            return symmetrize((u / self.eigenvalues) @ u.T)
         return symmetrize((u * self.inverse_eigenvalues) @ u.T)
 
 
 @dataclass(frozen=True)
 class SampleInverse:
     """inv(S) of p < n data with its trace and squared Frobenius norm, and no
-    eigendecomposition. ``p``, ``n``, ``ratio``, ``regime``, ``inverse``,
+    eigendecomposition. ``p``, ``n``, ``ratio``, ``inverse``,
     ``inverse_trace_norm`` and ``inverse_frobenius_sq`` read as those of
     :class:`SampleStats` do; made by :func:`sample_inverse`."""
 
@@ -197,7 +189,6 @@ class SampleInverse:
     inverse_frobenius_sq: float
     n: int
 
-    regime = REGIME_INVERTIBLE
     p = property(lambda self: self.inverse.shape[0])
     ratio = property(lambda self: self.p / self.n)
 
@@ -214,8 +205,8 @@ def sample_covariance(data, center: bool = False) -> SampleStats:
     No mean subtraction is performed unless ``center`` is set; centering is a
     convenience for real data and keeps the 1/n normalization.
 
-    The regime is ``invertible`` iff p < n; p >= n yields the ``pseudo``
-    regime. A rank deficient S with p < n raises :class:`SingularMatrixError`
+    ``inverse`` is the plain inverse when p < n and the pseudo-inverse when
+    p >= n. A rank deficient S with p < n raises :class:`SingularMatrixError`
     rather than silently falling back to the pseudo-inverse. Data whose Gram
     matrix overflows raises :class:`NumericError`, and so does data so small
     that twice the sum of the kept eigenvalues' reciprocals overflows: below
@@ -311,3 +302,36 @@ def sample_inverse(data, center: bool = False) -> SampleInverse | SampleStats:
                 and inverse_sq * covariance_sq * (INVERSE_MARGIN * data.p * EPS) ** 2 < 1.0):
             return SampleInverse(inverse, trace, inverse_sq, data.n)
     return _spectral_stats(data, y, s)
+
+
+def require_nonsingular(eigenvalues: np.ndarray) -> None:
+    """Raise :class:`SingularMatrixError` when the symmetric matrix with these
+    eigenvalues is numerically singular: min |w| <= p * eps * max |w|."""
+    magnitude = np.abs(eigenvalues)
+    if np.min(magnitude) <= eigenvalues.size * EPS * np.max(magnitude):
+        raise SingularMatrixError("covariance shrinkage estimate is numerically singular")
+
+
+def symmetric_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric matrix by one Cholesky factorization.
+
+    ``potrf`` factors ``a`` into an upper factor with a zeroed lower
+    triangle, and ``potri`` overwrites the factor's upper triangle with that
+    of the inverse. Adding the transpose mirrors it, so the result is exactly
+    symmetric. A matrix that is not positive definite falls back to ``eigh``
+    and raises :class:`SingularMatrixError` when it is numerically singular.
+    The import is local: loading ``scipy.linalg`` takes longer than a whole
+    ``limits`` call, and nothing else in the package needs it.
+    """
+    from scipy.linalg import lapack
+
+    factor, info = lapack.dpotrf(np.asarray_chkfinite(a), clean=True)
+    if info == 0:
+        upper, info = lapack.dpotri(factor, overwrite_c=True)
+    if info == 0:
+        inverse = upper + upper.T
+        np.fill_diagonal(inverse, np.diagonal(upper))
+        return inverse
+    w, v = np.linalg.eigh(a)
+    require_nonsingular(w)
+    return symmetrize((v / w) @ v.T)

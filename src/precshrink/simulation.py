@@ -15,7 +15,6 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .estimators import (
     SAMPLE_INV,
     SAMPLE_PINV,
     TargetMatrix,
-    _require_nonsingular,
-    _symmetric_inverse,
     domain_error,
     optimal_weights_from_functionals,
     plug_in_weights,
@@ -38,7 +35,9 @@ from .linalg import (
     DataMatrix,
     SampleStats,
     frobenius_sq,
+    require_nonsingular,
     sample_covariance,
+    symmetric_inverse,
     trace_product,
     use_single_threaded_blas,
 )
@@ -133,12 +132,12 @@ class TargetSpec:
             if truth is None:
                 raise ConfigError("target 'true_precision' needs the true covariance, "
                                   "which estimate does not have")
-            return (TargetMatrix.from_diagonal(truth.inverse_eigenvalues, self.name),
-                    TargetMatrix.from_diagonal(truth.eigenvalues, self.name))
+            return (TargetMatrix.from_diagonal(truth.inverse_eigenvalues),
+                    TargetMatrix.from_diagonal(truth.eigenvalues))
         precision, cov = TargetMatrix.inverse_of_spectrum, TargetMatrix.from_spectrum
         if self.kind == TARGET_PRECISION_SPECTRUM:
             precision, cov = cov, precision
-        return precision(self.spectrum, p, self.name), cov(self.spectrum, p, self.name)
+        return precision(self.spectrum, p), cov(self.spectrum, p)
 
 
 @dataclass(frozen=True)
@@ -259,6 +258,8 @@ class _Spectra:
         rotated = np.stack(targets) @ self.w
         self.rotated = {id(t): d for t, d in zip(targets, rotated)}
         self.d_pi = self.rotated[id(pi)]
+        # Every baseline row reads it, and a lazy property would lock across threads.
+        self.truth_spread = self._spread(pi, self.d_pi)
 
     def _spread(self, delta: np.ndarray, dd: np.ndarray) -> float:
         """sum_ij W_ij (delta_i - dd_j)^2."""
@@ -266,14 +267,10 @@ class _Spectra:
         gap *= gap
         return float(self.w.ravel() @ gap.ravel())
 
-    @cached_property
-    def _truth_spread(self) -> float:
-        return self._spread(self.pi, self.d_pi)
-
     def _truth_loss(self, e: np.ndarray) -> float:
         """Loss of ``U diag(e) U'``, an estimate with no target part."""
         head = e - self.d_pi
-        return float(head @ head) + self._truth_spread
+        return float(head @ head) + self.truth_spread
 
     def _shrinkage_loss(self, alpha: float, beta: float, t: np.ndarray) -> float:
         """Loss of ``alpha inv(S) + beta diag(t)``."""
@@ -314,11 +311,11 @@ class _Spectra:
         if np.ptp(c) == 0.0:  # alpha S + beta c0 I shares the eigenvectors of S
             shrunk = alpha * lam + beta * c[0]
             if not np.all(shrunk > 0.0):
-                _require_nonsingular(shrunk)
+                require_nonsingular(shrunk)
             return self._truth_loss(1.0 / shrunk), (alpha, beta)
         sigma_hat = alpha * stats.matrix
         sigma_hat[np.diag_indices_from(sigma_hat)] += beta * c
-        error = _symmetric_inverse(sigma_hat)
+        error = symmetric_inverse(sigma_hat)
         error[np.diag_indices_from(error)] -= self.pi
         return float(error.ravel() @ error.ravel()), (alpha, beta)
 

@@ -179,6 +179,12 @@ seed: 1
          "spectrum entry 0: weight must be a number, got True"),
         ("spectrum: [{weight: 1.0, eigenvalue: '2'}]",
          "spectrum entry 0: eigenvalue must be a number, got '2'"),
+        ("name: null", "name must be a non-empty string, got None"),
+        ("name: 5", "name must be a non-empty string, got 5"),
+        ("name: true", "name must be a non-empty string, got True"),
+        ("name: [a, b]", "name must be a non-empty string, got ['a', 'b']"),
+        ("name: ''", "name must be a non-empty string, got ''"),
+        ("estimators: [1]", "estimators entry must be a string, got 1"),
     ])
     def test_config_values_are_not_coerced(self, tmp_path, capsys, line, message):
         fields = {
@@ -546,7 +552,7 @@ class TestRejectedInput:
             raise AssertionError("work started")
 
         monkeypatch.setattr(simulation, "run_grid_point", refuse)
-        monkeypatch.setattr("precshrink.cli.sample_covariance", refuse)
+        monkeypatch.setattr("precshrink.cli.sample_inverse", refuse)
         out = str(tmp_path / where)
         argv = {"simulate": ["simulate", "fig1", "--reps", "2", "--p-grid", "6"],
                 "estimate": ["estimate", str(write_gaussian_csv(tmp_path / "a.csv", 6, 20))],
@@ -617,10 +623,10 @@ class TestEstimate:
     def test_wide_matrix_requires_mode_flag(self, tmp_path, capsys, monkeypatch, p, n, advice):
         # Refused from p and n alone, centered or not, before any linear algebra.
         def refuse(*args, **kwargs):
-            raise AssertionError("sample_covariance called")
+            raise AssertionError("sample statistics formed")
 
         data = write_gaussian_csv(tmp_path / "wide.csv", p, n, seed=3)
-        monkeypatch.setattr("precshrink.cli.sample_covariance", refuse)
+        monkeypatch.setattr("precshrink.cli.sample_inverse", refuse)
         monkeypatch.setattr("precshrink.linalg.sample_covariance", refuse)
         out = tmp_path / "out.csv"
         for center in ([], ["--center"]):
@@ -905,6 +911,7 @@ class TestMatrixReader:
             raise AssertionError("a line of %.17g numbers was read cell by cell")
 
         values = np.random.default_rng(11).standard_normal((50, 50))
+        values[:, 7] = 0.0  # orjson reads 0 as float() does; only an integer -0 differs
         path = tmp_path / "numbers.csv"
         np.savetxt(path, values, delimiter=",", fmt="%.17g")
         monkeypatch.setattr(configio, "_cells", refuse)

@@ -36,13 +36,12 @@ from precshrink.estimators import (
     OLSE_PRECISION_ORACLE,
     SAMPLE_INV,
     SAMPLE_PINV,
-    _symmetric_inverse,
     domain_error,
     hessian_determinant,
     optimal_weights_from_functionals,
     plug_in_weights,
 )
-from precshrink.linalg import SampleStats, symmetrize
+from precshrink.linalg import SampleStats, symmetric_inverse, symmetrize
 from precshrink.simulation import (
     _ESTIMATORS,
     THREE_BLOCK,
@@ -530,7 +529,7 @@ class TestSymmetricInverse:
         rng = np.random.default_rng(31)
         x = rng.standard_normal((7, 20))
         a = x @ x.T / 20
-        inverse = _symmetric_inverse(a)
+        inverse = symmetric_inverse(a)
         np.testing.assert_array_equal(inverse, inverse.T)
         np.testing.assert_allclose(inverse, np.linalg.inv(a), rtol=1e-12, atol=1e-13)
 
@@ -539,12 +538,12 @@ class TestSymmetricInverse:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-        np.testing.assert_allclose(_symmetric_inverse(a), np.linalg.inv(a), rtol=1e-12)
+        np.testing.assert_allclose(symmetric_inverse(a), np.linalg.inv(a), rtol=1e-12)
         assert len(calls) == 1
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError, match="numerically singular"):
-            _symmetric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+            symmetric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestOracleEquivariant:

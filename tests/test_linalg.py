@@ -15,8 +15,6 @@ from precshrink import DataMatrix, NumericError, SingularMatrixError, TargetMatr
 from precshrink import bona_fide_olse, sample_covariance
 from precshrink.linalg import (
     EPS,
-    REGIME_INVERTIBLE,
-    REGIME_PSEUDO,
     SampleInverse,
     SampleStats,
     frobenius_sq,
@@ -77,20 +75,20 @@ class TestSampleCovariance:
     def test_regime_invertible(self):
         rng = np.random.default_rng(1)
         stats = sample_covariance(rng.standard_normal((5, 20)))
-        assert stats.regime == REGIME_INVERTIBLE
+        assert stats.p < stats.n and np.all(stats.inverse_eigenvalues > 0.0)
         np.testing.assert_allclose(stats.matrix @ stats.inverse, np.eye(5), atol=1e-8)
 
     def test_regime_pseudo_rank(self):
         rng = np.random.default_rng(2)
         stats = sample_covariance(rng.standard_normal((4, 2)))
-        assert stats.regime == REGIME_PSEUDO
+        assert stats.p >= stats.n
         tol = rank_tolerance(stats.eigenvalues, stats.p)
         assert int(np.sum(stats.eigenvalues > tol)) == 2
 
     def test_equal_dimensions_use_pseudo(self):
         rng = np.random.default_rng(3)
-        stats = sample_covariance(rng.standard_normal((4, 4)))
-        assert stats.regime == REGIME_PSEUDO
+        stats = sample_inverse(rng.standard_normal((4, 4)))
+        assert isinstance(stats, SampleStats) and stats.p >= stats.n  # no LU inverse at p = n
 
     def test_identical_data_raises(self):
         y = np.ones((3, 5))
@@ -223,8 +221,8 @@ class TestSampleInverse:
             y = np.ascontiguousarray(y.T).T
         fast, slow = sample_inverse(y, center=center), sample_covariance(y, center=center)
         assert isinstance(fast, SampleInverse)
-        assert (fast.p, fast.n, fast.ratio, fast.regime) == (slow.p, slow.n, slow.ratio,
-                                                              slow.regime)
+        assert (fast.p, fast.n, fast.ratio) == (slow.p, slow.n, slow.ratio)
+        assert fast.p < fast.n
         np.testing.assert_array_equal(fast.inverse, fast.inverse.T)
         assert relative(fast.inverse, slow.inverse) <= LU_RTOL
         assert fast.inverse_trace_norm == pytest.approx(slow.inverse_trace_norm, rel=LU_RTOL)
@@ -287,7 +285,7 @@ class TestSampleInverse:
     def test_wide_data_gets_the_eigendecomposition(self):
         y = np.random.default_rng(13).standard_normal((8, 5))
         stats = sample_inverse(y)
-        assert isinstance(stats, SampleStats) and stats.regime == REGIME_PSEUDO
+        assert isinstance(stats, SampleStats) and stats.p >= stats.n
         np.testing.assert_array_equal(stats.inverse, sample_covariance(y).inverse)
 
 

@@ -53,6 +53,19 @@ def test_declared_dependencies_cover_imports():
         assert {_normalized(d) for d in distributions[name]} & declared, name
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """A name that starts with an underscore stays inside its module: no
+    precshrink module imports one from another."""
+    private = []
+    for module in (ROOT / "src" / "precshrink").glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "precshrink"
+                                                     or node.module.startswith("precshrink.")):
+                private += [f"{module.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
+
+
 def load_by_path(monkeypatch, path: Path) -> types.ModuleType:
     spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
