@@ -100,6 +100,7 @@ def cmd_estimate(args) -> int:
     target = spec.resolve(data.p)[0] if spec else None
     out = args.out or f"{os.path.splitext(args.data)[0]}.precision.csv"
     configio.check_writable(out)
+    # The two flags are refused below p = n, so there stats is a SampleStats.
     stats = sample_inverse(data, center=args.center)
     if mode == ISOTROPIC_PRECISION:
         scale = estimate_isotropic_precision(stats)

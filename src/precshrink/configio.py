@@ -268,8 +268,6 @@ def read_results(path: str) -> list[ResultRow]:
 # or null) holds one of these characters, so a line without them that orjson
 # parses holds only numbers, which it reads as float() does.
 _NON_NUMBER_CHARS = '"[{tfn'
-# An integer -0, which orjson reads as the integer 0 and float() as -0.0.
-_NEGATIVE_ZERO = re.compile(r"-0(?![0-9.eE])")
 
 
 def _cells(path: str, lineno: int, stripped: str) -> np.ndarray:
@@ -288,9 +286,9 @@ def load_matrix(path: str) -> np.ndarray:
     same doubles about 3 times faster on 17-digit text; it takes the line as
     read, since JSON allows spaces, tabs and line ends around a number, and
     its list gives the line's width. A line it refuses (``nan``, ``.5``,
-    ``+1``, ``1e400``, a padded ``\\x0b``, ...) or that holds an integer
-    ``-0`` (orjson reads it as the integer 0) is stripped and read cell by
-    cell, after its commas give its width. A line of whitespace alone is skipped.
+    ``+1``, ``1e400``, a padded ``\\x0b``, ...) or that holds an exact zero
+    (orjson reads ``-0`` as the integer 0) is stripped and read cell by cell,
+    after its commas give its width. A line of whitespace alone is skipped.
     The file is read a line at a time. orjson is imported here, so that
     ``import precshrink`` and ``limits`` do not load it.
     """
@@ -305,7 +303,7 @@ def load_matrix(path: str) -> np.ndarray:
                 if not any(char in line for char in _NON_NUMBER_CHARS):
                     with contextlib.suppress(orjson.JSONDecodeError):  # whitespace is JSON's
                         row = np.array(orjson.loads(f"[{line}]"), dtype=float)
-                if row is None or (not row.all() and _NEGATIVE_ZERO.search(line)):
+                if row is None or not row.all():  # refused, or holds an exact zero
                     stripped = line.strip()
                     count = stripped.count(",") + 1 if stripped else 0
                 else:

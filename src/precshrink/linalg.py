@@ -286,7 +286,9 @@ def sample_inverse(data, center: bool = False) -> SampleInverse | SampleStats:
     lambda_max``. A singular or non-finite inverse, a trace whose double
     overflows, or a failed test falls back to :func:`sample_covariance`'s
     eigendecomposition, whose errors and messages this function therefore
-    shares; so does p >= n.
+    shares. At p >= n it always returns that :class:`SampleStats`, so its
+    ``inverse`` is the pseudo-inverse and its ``inverse_eigenvalues`` give
+    the rank; the p >= n estimators read both.
     """
     data, y, s = _gram(data, center)
     if data.p < data.n:

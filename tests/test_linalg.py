@@ -87,8 +87,12 @@ class TestSampleCovariance:
 
     def test_equal_dimensions_use_pseudo(self):
         rng = np.random.default_rng(3)
-        stats = sample_inverse(rng.standard_normal((4, 4)))
-        assert isinstance(stats, SampleStats) and stats.p >= stats.n  # no LU inverse at p = n
+        y = rng.standard_normal((4, 4))
+        # Centered, S has rank 3 at p = n: the pseudo-inverse, not a singular error.
+        stats = sample_covariance(y, center=True)
+        assert stats.p == stats.n == 4
+        assert int(np.sum(stats.eigenvalues > rank_tolerance(stats.eigenvalues, stats.p))) == 3
+        np.testing.assert_array_equal(stats.inverse, sample_inverse(y, center=True).inverse)
 
     def test_identical_data_raises(self):
         y = np.ones((3, 5))
