@@ -280,18 +280,15 @@ def compute_limit_functionals(
     target adds the limiting shrinkage weights.
     """
     _require_ratio(ratio)
-    if ratio < 1.0:
-        return LimitFunctionals(
-            ratio=ratio,
-            inverse_frobenius=inverse_frobenius_limit(spec, ratio) if spec is not None else None,
-            weights=limit_weights(truth, target, ratio) if target is not None else None,
-        )
-    if target is None:
-        dual, x_prime = _dual(truth, ratio)
-        target_dual = weights = None
-    else:  # the diagonal equivalent enters only the weights
+    below = ratio < 1.0
+    inverse_frobenius = inverse_frobenius_limit(spec, ratio) if below and spec is not None else None
+    dual = x_prime = target_dual = weights = None
+    if target is not None:  # the diagonal equivalent enters only the weights
         equivalent, inv_frobenius_eq, dual, x_prime = _equivalent(truth, ratio)
-        target_dual = _weighted_dual_info(truth, target, ratio)
+        if not below:
+            target_dual = _weighted_dual_info(truth, target, ratio)
         weights = _limit_weights(truth, target, equivalent, inv_frobenius_eq)
-    return LimitFunctionals(ratio=ratio, dual=dual, dual_frobenius=x_prime,
-                            target_dual=target_dual, weights=weights)
+    elif not below:
+        dual, x_prime = _dual(truth, ratio)
+    return LimitFunctionals(ratio=ratio, inverse_frobenius=inverse_frobenius, dual=dual,
+                            dual_frobenius=x_prime, target_dual=target_dual, weights=weights)

@@ -51,13 +51,13 @@ def _resolve_config(args) -> ExperimentConfig:
         config,
         replications=args.reps,
         seed=args.seed,
-        p_grid=_parse_p_grid(args.p_grid) if args.p_grid else None,
+        p_grid=None if args.p_grid is None else _parse_p_grid(args.p_grid),
     )
 
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    out = args.out or f"{config.name}_results.csv"
+    out = f"{config.name}_results.csv" if args.out is None else args.out
     configio.check_writable(out)
     reports = run_experiment(config, threads=args.threads)
     configio.write_results(out, configio.rows_from_reports(config, reports))
@@ -98,7 +98,7 @@ def cmd_estimate(args) -> int:
     if outside:  # exit 2, or 3 for the near-singular band's NearSingularRegimeError
         raise outside
     target = spec.resolve(data.p)[0] if spec else None
-    out = args.out or f"{os.path.splitext(args.data)[0]}.precision.csv"
+    out = f"{os.path.splitext(args.data)[0]}.precision.csv" if args.out is None else args.out
     configio.check_writable(out)
     # The two flags are refused below p = n, so there stats is a SampleStats.
     stats = sample_inverse(data, center=args.center)
@@ -115,8 +115,8 @@ def cmd_estimate(args) -> int:
         message = (f"target={spec.name} "
                    f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
     configio.write_matrix(out, result)
-    regime = "invertible" if stats.p < stats.n else "pseudo"
-    print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} regime={regime}")
+    print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} "
+          f"regime={'pseudo' if flag else 'invertible'}")
     print(message)
     print(f"precision estimate written to {out}")
     return EXIT_OK

@@ -154,9 +154,18 @@ def _parse_distribution(obj) -> DistributionSpec:
         raise ConfigError(f"invalid distribution {obj!r}: {exc}") from exc
 
 
-def parse_experiment_config(
-    payload: dict, default_name: str = "custom", seed_override: int | None = None
-) -> ExperimentConfig:
+def load_experiment_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
+    """Read an experiment config file (YAML with named fields). A config
+    without ``name`` is named by the file's stem: ``cfg/x.yaml`` gives ``x``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = yaml.load(handle, Loader=_Loader)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigError(f"{path}: invalid YAML{where}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("experiment config must be a mapping of named fields")
     _reject_unknown(payload, (f.name for f in fields(ExperimentConfig)), "config")
@@ -170,7 +179,8 @@ def parse_experiment_config(
     payload = {"targets": [TARGET_IDENTITY], **payload}
     lists = {name: _typed(payload[name], name, list, "a list")
              for name in ("targets", "p_grid", "estimators")}
-    name = _typed(payload.get("name", default_name), "name", str, "a non-empty string")
+    stem = os.path.splitext(os.path.basename(path))[0]
+    name = _typed(payload.get("name", stem), "name", str, "a non-empty string")
     if not name:
         raise ConfigError("name must be a non-empty string, got ''")
     try:
@@ -194,20 +204,6 @@ def parse_experiment_config(
         raise ConfigError(f"invalid experiment config: {exc}") from exc
 
 
-def load_experiment_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
-    """Read an experiment config file (YAML with named fields)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = yaml.load(handle, Loader=_Loader)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError(f"{path}: invalid YAML{where}: {exc}") from exc
-    return parse_experiment_config(payload, default_name=path, seed_override=seed_override)
-
-
 def _format_value(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
@@ -228,7 +224,7 @@ def check_writable(path: str) -> None:
     """
     folder = os.path.dirname(path) or os.curdir
     code = (errno.EISDIR if os.path.isdir(path) else
-            errno.ENOENT if not os.path.isdir(folder) else
+            errno.ENOENT if not path or not os.path.isdir(folder) else
             errno.EACCES if not os.access(path if os.path.exists(path) else folder, os.W_OK) else 0)
     if code:
         raise ConfigError(f"cannot write {path!r}: {os.strerror(code)}")

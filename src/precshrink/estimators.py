@@ -218,8 +218,7 @@ def _oracle_olse(
     _check_dims(stats.p, target, "target")
     theta = target.matrix
     a = trace_product(stats.inverse, truth.precision)
-    diagonal = target.diagonal if target.diagonal is not None else np.diagonal(theta)
-    b = trace_product(1.0 / truth.eigenvalues, diagonal)
+    b = trace_product(1.0 / truth.eigenvalues, np.diagonal(theta))
     c = trace_product(stats.inverse, theta)
     alpha, beta = optimal_weights_from_functionals(
         a, b, c, stats.inverse_frobenius_sq, target.frobenius_sq

@@ -476,6 +476,39 @@ class TestLimitFunctionalsBundle:
         assert limits.dual.residual < 1e-10
         assert limits.target_dual is not None
 
+    @pytest.mark.parametrize("with_target", [False, True], ids=["no-target", "target"])
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_fields_equal_their_definitions(self, ratio, with_target):
+        truth = build_covariance(THREE_BLOCK, 30)
+        prior = TargetMatrix.inverse_of_spectrum(BUILTIN_SPECTRA["prior2"], 30)
+        target = prior if with_target else None
+        equivalents = []
+        equivalent = asymptotics._equivalent
+
+        def counting(*args):
+            equivalents.append(args)
+            return equivalent(*args)
+
+        def refuse(*args):
+            raise AssertionError("limit_weights called")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(asymptotics, "_equivalent", counting)
+            patch.setattr(asymptotics, "limit_weights", refuse)
+            limits = compute_limit_functionals(truth, ratio, spec=THREE_BLOCK, target=target)
+        assert len(equivalents) == with_target
+        below, above = ratio < 1.0, ratio > 1.0
+        assert limits.ratio == ratio
+        assert limits.inverse_frobenius == (
+            inverse_frobenius_limit(THREE_BLOCK, ratio) if below else None)
+        assert getattr(limits.dual, "value", None) == (
+            dual_inverse_trace_limit(truth, ratio) if above else None)
+        assert limits.dual_frobenius == (
+            dual_inverse_frobenius_limit(truth, ratio) if above else None)
+        assert getattr(limits.target_dual, "value", None) == (
+            weighted_root(truth, target.matrix, ratio) if above and with_target else None)
+        assert limits.weights == (limit_weights(truth, target, ratio) if with_target else None)
+
     def test_ratio_one_rejected(self):
         truth = CovarianceModel.isotropic(10, 1.0)
         with pytest.raises(ValueError):

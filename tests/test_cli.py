@@ -117,6 +117,16 @@ estimators: [sample_inv, olse_precision]
         assert rows[0].experiment == "custom1"
         assert rows[0].n == 32
 
+    def test_config_without_name_is_named_by_its_stem(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "x.yaml").write_text(config_text())
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "cfg/x.yaml"]) == 0
+        assert capsys.readouterr().out.startswith("experiment x: ")
+        rows = read_results("x_results.csv")
+        assert rows and {row.experiment for row in rows} == {"x"}
+        assert sorted(os.listdir("cfg")) == ["x.yaml"]
+
     def test_config_without_seed_needs_flag(self, tmp_path, capsys):
         config = tmp_path / "exp.yaml"
         config.write_text(
@@ -352,7 +362,7 @@ estimators: [olse_cov_inv]
                 == "numeric failure: Unable to allocate the spectrum at p=10000000000000\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["10,x", ",", "1.5"])
+    @pytest.mark.parametrize("grid", ["10,x", ",", "1.5", ""])
     def test_invalid_p_grid_exit_2(self, tmp_path, capsys, grid):
         assert main(["simulate", "fig1", "--reps", "1", "--p-grid", grid,
                      "--out", str(tmp_path / "grid.csv")]) == 2
@@ -544,8 +554,9 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     @pytest.mark.parametrize("where, reason", [("missing/x.csv", "No such file or directory"),
-                                               (".", "Is a directory")],
-                             ids=["missing-folder", "folder"])
+                                               (".", "Is a directory"),
+                                               ("", "No such file or directory")],
+                             ids=["missing-folder", "folder", "empty"])
     def test_unwritable_out_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, command,
                                                    where, reason):
         def refuse(*args, **kwargs):
@@ -553,7 +564,7 @@ class TestRejectedInput:
 
         monkeypatch.setattr(simulation, "run_grid_point", refuse)
         monkeypatch.setattr("precshrink.cli.sample_inverse", refuse)
-        out = str(tmp_path / where)
+        out = str(tmp_path / where) if where else ""
         argv = {"simulate": ["simulate", "fig1", "--reps", "2", "--p-grid", "6"],
                 "estimate": ["estimate", str(write_gaussian_csv(tmp_path / "a.csv", 6, 20))],
                 }[command]
@@ -1506,3 +1517,97 @@ class TestEstimateFuzz:
             assert np.any(written) or (center and constant_rows >= p)
         else:
             assert not out.exists()
+
+
+# Values that no config field accepts, or that it accepts only where they are refused
+# before any work (a 400-digit p lies beyond the float range). A 400-digit replication
+# count would be accepted and run without end, so ``replications`` never draws one.
+_BAD_VALUES = [None, True, "", "x", [], {}, math.nan, math.inf, -math.inf, -int(HUGE_INT),
+               -1, 0, 2.5]
+_BAD = st.sampled_from([*_BAD_VALUES, int(HUGE_INT)])
+
+
+def _field(*good, bad=_BAD):
+    """A config field's value: one of ``good`` or a bad one."""
+    return st.one_of(*good, bad)
+
+
+_ATOM = st.fixed_dictionaries({"weight": _field(st.just(1.0)),
+                               "eigenvalue": _field(st.sampled_from([1.0, 3.0]))})
+_P = st.sampled_from([1, 2, 5, 12, 40])
+_CONFIG_FIELDS = {
+    "name": _field(st.sampled_from(["x", "sub/x"])),
+    "spectrum": _field(st.sampled_from(["threeblock", "identity", "prior4"]),
+                       st.lists(_ATOM, max_size=2)),
+    "ratio": _field(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0, 5e-324])),
+    "p_grid": _field(st.lists(st.one_of(_P, _BAD), max_size=3)),
+    "replications": _field(st.integers(1, 3), bad=st.sampled_from(_BAD_VALUES)),
+    "seed": _field(st.integers(0, 9)),
+    "estimators": _field(st.lists(st.sampled_from([*simulation._ESTIMATORS, "bogus", ""]),
+                                  max_size=4)),
+    "targets": _field(st.lists(st.sampled_from(
+        ["identity_over_p", "true_precision", "prior2", "inverse-of:prior2", "bogus", "",
+         {"name": "mine", "cov_spectrum": "prior2"}]), max_size=3)),
+    "distribution": _field(st.sampled_from(["gaussian", "student_t", {"kind": "cauchy"}]),
+                           st.builds(lambda df: {"kind": "student_t", "df": df},
+                                     _field(st.sampled_from([3, 5, 30])))),
+    "clamp": _field(st.booleans()),
+    "center": _field(st.booleans()),
+    "scale": _BAD,  # no such field
+}
+_VALID_WITH_ONE_CHANGE = st.builds(
+    lambda change: {**yaml.safe_load(config_text()), **change}, st.one_of(
+        st.just({}), st.sampled_from(sorted(_CONFIG_FIELDS)).flatmap(
+            lambda key: _CONFIG_FIELDS[key].map(lambda value: {key: value}))))
+# Half the payloads are a valid config with at most one field replaced or added.
+CONFIG_PAYLOADS = st.integers(0, 3).flatmap(lambda branch: (
+    _VALID_WITH_ONE_CHANGE if branch < 2 else
+    st.fixed_dictionaries({}, optional=_CONFIG_FIELDS) if branch == 2 else
+    _BAD))  # not a mapping
+
+
+def _option(good, bad):
+    """An option's value: absent half the time, else a good or a bad one."""
+    return st.integers(0, 3).flatmap(lambda branch: (
+        st.none() if branch < 2 else st.sampled_from(good if branch == 2 else bad)))
+
+
+class TestSimulateFuzz:
+    """Whole config files and simulate argv: every run exits 0, 2 or 3."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(payload=CONFIG_PAYLOADS,
+           p_grid=_option(["5", "1,40", "2,12"], ["", " ", "12,12", "0", "-3", HUGE_INT, "x",
+                                                  "2.5"]),
+           reps=_option(["1", "3"], ["0", "-1", "x"]),
+           seed=_option(["0", "7", HUGE_INT], ["-1", "x"]),
+           out=_option(["out.csv"], ["", "missing/out.csv", "."]),
+           threads=st.integers(1, 4))
+    def test_any_config_and_argv_exit_cleanly(self, fuzz_dir, payload, p_grid, reps, seed, out,
+                                              threads):
+        folder = fuzz_dir / "simulate"
+        folder.mkdir(exist_ok=True)
+        for leftover in folder.iterdir():
+            leftover.unlink()
+        (folder / "fuzz.yaml").write_text(yaml.safe_dump(payload))
+        argv = ["simulate", "fuzz.yaml", "--threads", str(threads)]
+        for flag, value in (("--p-grid", p_grid), ("--reps", reps), ("--seed", seed),
+                            ("--out", out)):
+            argv += [] if value is None else [flag, value]
+        stdout = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            patch.chdir(folder)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a non-integer --reps or --seed
+                code = exc.code
+        assert code in (0, 2, 3), argv
+        written = sorted(path.name for path in folder.iterdir())
+        if code == 0:
+            name = stdout.getvalue().split(":")[0].removeprefix("experiment ")
+            path = out or f"{name}_results.csv"
+            assert written == sorted(["fuzz.yaml", path])
+            assert {row.experiment for row in read_results(folder / path)} == {name}
+        else:
+            assert written == ["fuzz.yaml"], argv
