@@ -124,7 +124,7 @@ def inverse_frobenius_limit(spec: SpectrumSpec, ratio: float) -> float:
 def _dual(truth: CovarianceModel, ratio: float) -> tuple[RootInfo, float]:
     """The dual trace root x and the curvature factor x' above ratio 1
     (Bodnar, Dette & Parolya 2016); an overflow raises :class:`NumericError`."""
-    precision = 1.0 / truth.eigenvalues
+    precision = truth.inverse_eigenvalues
     dual = _solve_self_consistent(precision, ratio)
     x = dual.value
     if not np.finfo(float).tiny <= x * x < np.inf:
@@ -158,7 +158,7 @@ def _equivalent(
     A diagonal whose x' tau or (x tau + 1)^2 overflows raises :class:`NumericError`.
     """
     if ratio < 1.0:
-        return 1.0 / truth.eigenvalues / (1.0 - ratio), _inverse_frobenius_lt1(
+        return truth.inverse_eigenvalues / (1.0 - ratio), _inverse_frobenius_lt1(
             truth.precision_frobenius_sq, truth.precision_trace_norm, ratio, truth.p), None, None
     dual, x_prime = _dual(truth, ratio)
     x, tau = dual.value, truth.eigenvalues
@@ -177,7 +177,7 @@ def dual_inverse_trace_limit(truth: CovarianceModel, ratio: float) -> float:
     the normalized trace of the inverse dual sample covariance.
     """
     _require_gt1(ratio, "dual_inverse_trace_limit")
-    return _solve_self_consistent(1.0 / truth.eigenvalues, ratio).value
+    return _solve_self_consistent(truth.inverse_eigenvalues, ratio).value
 
 
 def dual_inverse_frobenius_limit(truth: CovarianceModel, ratio: float) -> float:
@@ -242,15 +242,14 @@ def _limit_weights(
     """
     if target.shape != (truth.p, truth.p):
         raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.shape}")
-    precision = 1.0 / truth.eigenvalues
+    precision = truth.inverse_eigenvalues
     theta = target.diagonal if target.diagonal is not None else np.diagonal(target.matrix)
     with np.errstate(over="ignore"):
         traces = (trace_product(equivalent, precision), trace_product(precision, theta),
                   trace_product(equivalent, theta))
     if not max(traces) < np.inf:  # every term is positive
         raise NumericError(f"limit traces overflow: {', '.join(f'{t:.3e}' for t in traces)}")
-    return ShrinkageWeights(*optimal_weights_from_functionals(
-        *traces, inv_frobenius_eq, target.frobenius_sq))
+    return optimal_weights_from_functionals(*traces, inv_frobenius_eq, target.frobenius_sq)
 
 
 def limit_weights(truth: CovarianceModel, target: TargetMatrix, ratio: float) -> ShrinkageWeights:

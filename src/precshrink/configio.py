@@ -51,6 +51,20 @@ _Loader.add_implicit_resolver(
 )
 
 
+def _read_yaml(path: str, unreadable: str):
+    """Parse a YAML or JSON file. A file not opened or not UTF-8 raises ``<unreadable>:
+    <cause>``, bad YAML ``<path>: invalid YAML at line L, column C: ...``; both ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return yaml.load(handle, Loader=_Loader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{unreadable}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigError(f"{path}: invalid YAML{where}: {exc}") from exc
+
+
 def load_spectrum(source) -> SpectrumSpec:
     """Resolve a builtin spectrum name, read a spectrum file (YAML/JSON) or
     parse a list; the list, inline or in the file, holds {weight, eigenvalue}
@@ -62,16 +76,8 @@ def load_spectrum(source) -> SpectrumSpec:
     if isinstance(source, str):
         if source in BUILTIN_SPECTRA:
             return BUILTIN_SPECTRA[source]
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                payload = yaml.load(handle, Loader=_Loader)
-        except OSError as exc:
-            raise ConfigError(
-                f"unknown spectrum {source!r}: not a builtin name "
-                f"({', '.join(sorted(BUILTIN_SPECTRA))}) and not a readable file ({exc})"
-            ) from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{source}: invalid YAML/JSON ({exc})") from exc
+        payload = _read_yaml(source, f"unknown spectrum {source!r}: not a builtin name "
+                             f"({', '.join(sorted(BUILTIN_SPECTRA))}) and not a readable file")
     if not isinstance(payload, list) or not payload:
         raise ConfigError("spectrum must be a non-empty list of {weight, eigenvalue} pairs")
     atoms = []
@@ -157,15 +163,7 @@ def _parse_distribution(obj) -> DistributionSpec:
 def load_experiment_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
     """Read an experiment config file (YAML with named fields). A config
     without ``name`` is named by the file's stem: ``cfg/x.yaml`` gives ``x``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = yaml.load(handle, Loader=_Loader)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError(f"{path}: invalid YAML{where}: {exc}") from exc
+    payload = _read_yaml(path, f"cannot read config {path!r}")
     if not isinstance(payload, dict):
         raise ConfigError("experiment config must be a mapping of named fields")
     _reject_unknown(payload, (f.name for f in fields(ExperimentConfig)), "config")

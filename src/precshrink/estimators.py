@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +73,9 @@ def _require_domain(stats: SampleStats, *estimator_ids: str) -> None:
         raise error
 
 
-@dataclass(frozen=True)
-class ShrinkageWeights:
-    """The shrinkage intensities of ``alpha * inv(S) + beta * T``."""
+class ShrinkageWeights(NamedTuple):
+    """The shrinkage intensities of ``alpha * inv(S) + beta * T``, as the two
+    weight rules return them; a pair, so it unpacks as ``alpha, beta``."""
 
     alpha: float
     beta: float
@@ -194,7 +195,7 @@ def optimal_weights_from_functionals(
     inv_target_trace: float,
     inv_frobenius_sq: float,
     target_frobenius_sq: float,
-) -> tuple[float, float]:
+) -> ShrinkageWeights:
     """Solve the 2x2 normal equations of the Frobenius loss in closed form.
 
     Arguments are the five scalar functionals the loss depends on; the same
@@ -207,7 +208,7 @@ def optimal_weights_from_functionals(
     beta = (truth_target_trace * inv_frobenius_sq - inv_truth_trace * inv_target_trace) / det
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise NumericError(f"shrinkage weights overflow: alpha={alpha!r}, beta={beta!r}")
-    return alpha, beta
+    return ShrinkageWeights(alpha, beta)
 
 
 def _oracle_olse(
@@ -218,13 +219,12 @@ def _oracle_olse(
     _check_dims(stats.p, target, "target")
     theta = target.matrix
     a = trace_product(stats.inverse, truth.precision)
-    b = trace_product(1.0 / truth.eigenvalues, np.diagonal(theta))
+    b = trace_product(truth.inverse_eigenvalues, np.diagonal(theta))
     c = trace_product(stats.inverse, theta)
-    alpha, beta = optimal_weights_from_functionals(
+    weights = optimal_weights_from_functionals(
         a, b, c, stats.inverse_frobenius_sq, target.frobenius_sq
     )
-    matrix = alpha * stats.inverse + beta * theta
-    return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
+    return PrecisionEstimate(weights.alpha * stats.inverse + weights.beta * theta, weights)
 
 
 def oracle_olse_lt1(
@@ -297,17 +297,16 @@ def bona_fide_olse(
     _require_domain(stats, OLSE_PRECISION)
     _check_dims(stats.p, target, "target")
     theta = target.matrix
-    alpha, beta = plug_in_weights(stats.inverse_frobenius_sq, target.frobenius_sq,
-                                  trace_product(stats.inverse, theta), stats.inverse_trace_norm,
-                                  stats.n, 1.0 - stats.ratio, clamp)
-    matrix = alpha * stats.inverse + beta * theta
-    return PrecisionEstimate(matrix, ShrinkageWeights(alpha, beta))
+    weights = plug_in_weights(stats.inverse_frobenius_sq, target.frobenius_sq,
+                              trace_product(stats.inverse, theta), stats.inverse_trace_norm,
+                              stats.n, 1.0 - stats.ratio, clamp)
+    return PrecisionEstimate(weights.alpha * stats.inverse + weights.beta * theta, weights)
 
 
 def plug_in_weights(
     a_frobenius_sq: float, target_frobenius_sq: float, cross_trace: float, a_trace: float,
     n: int, slack: float, clamp: bool = False,
-) -> tuple[float, float]:
+) -> ShrinkageWeights:
     """The (alpha, beta) of ``alpha * A + beta * T`` with consistent plug-ins.
 
     Solves the normal equations of the Frobenius loss from ``||A||^2``,
@@ -326,7 +325,7 @@ def plug_in_weights(
     if clamp:
         alpha = min(max(alpha, 0.0), slack)
     beta = (cross_trace / g) * (slack - alpha)
-    return alpha, beta
+    return ShrinkageWeights(alpha, beta)
 
 
 def estimate_isotropic_precision(stats: SampleStats) -> float:
@@ -359,11 +358,10 @@ def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceE
     """
     _check_dims(stats.p, target_cov, "target_cov")
     s, c = stats.matrix, target_cov.matrix
-    alpha, beta = plug_in_weights(frobenius_sq(s), target_cov.frobenius_sq, trace_product(s, c),
-                                  float(np.trace(s)), stats.n, 1.0)
-    sigma_hat = alpha * s + beta * c
-    inverse = symmetric_inverse(sigma_hat)
-    return CovarianceEstimate(sigma_hat, inverse, ShrinkageWeights(alpha, beta))
+    weights = plug_in_weights(frobenius_sq(s), target_cov.frobenius_sq, trace_product(s, c),
+                              float(np.trace(s)), stats.n, 1.0)
+    sigma_hat = weights.alpha * s + weights.beta * c
+    return CovarianceEstimate(sigma_hat, symmetric_inverse(sigma_hat), weights)
 
 
 def oracle_equivariant(stats: SampleStats, truth: CovarianceModel) -> PrecisionEstimate:
@@ -377,6 +375,6 @@ def oracle_equivariant(stats: SampleStats, truth: CovarianceModel) -> PrecisionE
     if truth.p != stats.p:
         raise ValueError(f"truth has dimension {truth.p}, expected {stats.p}")
     u = stats.eigenvectors
-    rotated_diag = np.einsum("ij,ij->j", u, (1.0 / truth.eigenvalues)[:, None] * u)
+    rotated_diag = np.einsum("ij,ij->j", u, truth.inverse_eigenvalues[:, None] * u)
     matrix = symmetrize((u * rotated_diag) @ u.T)
     return PrecisionEstimate(matrix, None)

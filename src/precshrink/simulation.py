@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -26,6 +27,7 @@ from .estimators import (
     OLSE_PRECISION_ORACLE,
     SAMPLE_INV,
     SAMPLE_PINV,
+    ShrinkageWeights,
     TargetMatrix,
     domain_error,
     optimal_weights_from_functionals,
@@ -52,6 +54,9 @@ TARGET_TRUE_PRECISION = "true_precision"
 TARGET_COV_SPECTRUM = "cov_spectrum"
 TARGET_PRECISION_SPECTRUM = "precision_spectrum"
 _SPECTRUM_KINDS = (TARGET_COV_SPECTRUM, TARGET_PRECISION_SPECTRUM)
+
+# Replications submitted per worker thread at a time in ``run_grid_point``.
+_BATCH_PER_WORKER = 64
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,9 @@ class ExperimentConfig:
             raise ValueError(f"ratio must be finite and positive, got {self.ratio}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.replications > sys.maxsize:
+            raise ValueError(f"replications must be at most {sys.maxsize}, "
+                             "the longest list Python can hold")
         if not self.p_grid:
             raise ValueError("p_grid must not be empty")
         for p in self.p_grid:
@@ -192,7 +200,7 @@ class ReplicationResult:
 
     index: int
     losses: dict[str, float]
-    weights: dict[str, tuple[float, float]] = field(default_factory=dict)
+    weights: dict[str, ShrinkageWeights] = field(default_factory=dict)
 
     def __post_init__(self):
         for key, value in self.losses.items():
@@ -288,39 +296,39 @@ class _Spectra:
     def bona_fide(self, row):
         target, stats = row.precision_target, self.stats
         t = target.diagonal
-        alpha, beta = plug_in_weights(
+        weights = plug_in_weights(
             stats.inverse_frobenius_sq, target.frobenius_sq, float(self.iv @ self.rotated[id(t)]),
             stats.inverse_trace_norm, stats.n, 1.0 - stats.ratio, self.clamp)
-        return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
+        return self._shrinkage_loss(*weights, t), weights
 
     def oracle_olse(self, row):
         target = row.precision_target
         t = target.diagonal
-        alpha, beta = optimal_weights_from_functionals(
+        weights = optimal_weights_from_functionals(
             float(self.iv @ self.d_pi), trace_product(self.pi, t),
             float(self.iv @ self.rotated[id(t)]), self.stats.inverse_frobenius_sq,
             target.frobenius_sq)
-        return self._shrinkage_loss(alpha, beta, t), (alpha, beta)
+        return self._shrinkage_loss(*weights, t), weights
 
     def covariance_inverse(self, row):
         target, stats = row.covariance_target, self.stats
         c, lam = target.diagonal, stats.eigenvalues
-        alpha, beta = plug_in_weights(frobenius_sq(lam), target.frobenius_sq,
-                                      trace_product(np.diagonal(stats.matrix), c),
-                                      float(np.trace(stats.matrix)), stats.n, 1.0)
+        weights = plug_in_weights(frobenius_sq(lam), target.frobenius_sq,
+                                  trace_product(np.diagonal(stats.matrix), c),
+                                  float(np.trace(stats.matrix)), stats.n, 1.0)
         if np.ptp(c) == 0.0:  # alpha S + beta c0 I shares the eigenvectors of S
-            shrunk = alpha * lam + beta * c[0]
+            shrunk = weights.alpha * lam + weights.beta * c[0]
             if not np.all(shrunk > 0.0):
                 require_nonsingular(shrunk)
-            return self._truth_loss(1.0 / shrunk), (alpha, beta)
-        sigma_hat = alpha * stats.matrix
-        sigma_hat[np.diag_indices_from(sigma_hat)] += beta * c
+            return self._truth_loss(1.0 / shrunk), weights
+        sigma_hat = weights.alpha * stats.matrix
+        sigma_hat[np.diag_indices_from(sigma_hat)] += weights.beta * c
         error = symmetric_inverse(sigma_hat)
         error[np.diag_indices_from(error)] -= self.pi
-        return float(error.ravel() @ error.ravel()), (alpha, beta)
+        return float(error.ravel() @ error.ravel()), weights
 
 
-# Each id's scorer, a :class:`_Spectra` method ``(spectra, row) -> (loss, (alpha, beta) |
+# Each id's scorer, a :class:`_Spectra` method ``(spectra, row) -> (loss, ShrinkageWeights |
 # None)``: it scores the row from the replication's shared spectral work, with the weights
 # of the matching dense estimator function and the loss ``frobenius_loss`` would give that
 # function's estimate. The ids in ``_TARGETED`` get one row per target and report weights.
@@ -341,7 +349,7 @@ class _PlannedEstimator:
     A targeted row carries its diagonal (precision, covariance) target pair."""
 
     row_id: str
-    score: Callable[..., tuple[float, tuple[float, float] | None]]
+    score: Callable[..., tuple[float, ShrinkageWeights | None]]
     skip_reason: str | None
     precision_target: TargetMatrix | None = None
     covariance_target: TargetMatrix | None = None
@@ -387,9 +395,11 @@ def run_grid_point(
     """Run all replications for one dimension p and aggregate them.
 
     Replications run on ``min(threads, usable_cpus(), replications)`` worker
-    threads. The call first sets BLAS to one thread for the rest of the
-    process (see :func:`~precshrink.linalg.use_single_threaded_blas`), so the
-    results do not depend on the BLAS thread setting or the core count.
+    threads, submitted in batches of ``_BATCH_PER_WORKER`` per worker, so
+    pending work stays bounded and memory follows the finished replications.
+    The call first sets BLAS to one thread for the rest of the process (see
+    :func:`~precshrink.linalg.use_single_threaded_blas`), so the results do
+    not depend on the BLAS thread setting or the core count.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -409,7 +419,7 @@ def run_grid_point(
         spectra = _Spectra(sample_covariance(data, center=config.center), pi, targets,
                            config.clamp)
         losses: dict[str, float] = {}
-        weights: dict[str, tuple[float, float]] = {}
+        weights: dict[str, ShrinkageWeights] = {}
         for planned in runnable:
             loss, pair = planned.score(spectra, planned)
             losses[planned.row_id] = loss
@@ -417,8 +427,12 @@ def run_grid_point(
                 weights[planned.row_id] = pair
         return ReplicationResult(index=r, losses=losses, weights=weights)
 
-    with ThreadPoolExecutor(max_workers=min(threads, usable_cpus(), config.replications)) as pool:
-        results = list(pool.map(one_replication, range(config.replications)))
+    workers = min(threads, usable_cpus(), config.replications)
+    batch, indices = _BATCH_PER_WORKER * workers, range(config.replications)
+    results: list[ReplicationResult] = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in indices[::batch]:
+            results += pool.map(one_replication, indices[start:start + batch])
 
     # Ordered reductions over replications, so the thread count never matters.
     def mean(values) -> float:
@@ -434,8 +448,8 @@ def run_grid_point(
             mean_loss = mean([res.losses[row.row_id] for res in results])
             prial_percent = prial(mean_loss, baseline_mean)
             if row.precision_target is not None:
-                mean_alpha = mean([res.weights[row.row_id][0] for res in results])
-                mean_beta = mean([res.weights[row.row_id][1] for res in results])
+                mean_alpha = mean([res.weights[row.row_id].alpha for res in results])
+                mean_beta = mean([res.weights[row.row_id].beta for res in results])
         rows.append(ResultRow(config.name, p, n, config.ratio, config.distribution.label,
                               row.row_id, mean_loss, prial_percent, mean_alpha, mean_beta,
                               replications, config.seed, status))

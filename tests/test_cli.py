@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -378,6 +379,19 @@ estimators: [olse_cov_inv]
         assert err.endswith("gives n beyond the float range\n")
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_huge_reps_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(simulation, "run_grid_point", refuse)
+        start = time.perf_counter()
+        assert main(["simulate", "fig1", "--reps", HUGE_INT, "--p-grid", "5",
+                     "--out", str(tmp_path / "reps.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (f"error: replications must be at most {sys.maxsize}, "
+                                           "the longest list Python can hold\n")
+        assert not (tmp_path / "reps.csv").exists()
+
     def test_nan_ratio_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.yaml"
         config.write_text(
@@ -503,7 +517,7 @@ class TestRejectedInput:
         ("simulate", "spectrum: threeblock\nratio: [0.25\np_grid: [20]\n",
          "invalid YAML at line 3, column 7"),
         ("simulate", "- spectrum: threeblock\n", "experiment config must be a mapping"),
-        ("limits", "- {weight: 1.0, eigenvalue: [\n", "invalid YAML/JSON"),
+        ("limits", "- {weight: 1.0, eigenvalue: [\n", "invalid YAML at line 2, column 1"),
         ("limits", "[]\n", "spectrum must be a non-empty list of {weight, eigenvalue} pairs"),
         ("limits", "- {weight: 1.0}\n", "spectrum entry 0: expected keys 'weight' and "
          "'eigenvalue', got {'weight': 1.0}"),
@@ -791,6 +805,25 @@ class TestEstimate:
         path.write_bytes("1,2\n3,4\n".encode("utf-16"))
         assert main(["estimate", str(path)]) == 2
         assert f"cannot read matrix {str(path)!r}: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, prefix", [
+        ("simulate", config_text(), "cannot read config {path!r}"),
+        ("limits", "- {weight: 1.0, eigenvalue: 2.0}\n", "unknown spectrum {path!r}"),
+        ("target", "- {weight: 1.0, eigenvalue: 2.0}\n", "unknown spectrum {path!r}"),
+    ])
+    def test_non_utf8_yaml_names_the_path(self, tmp_path, capsys, command, text, prefix):
+        path = tmp_path / "utf16.yaml"
+        path.write_bytes(text.encode("utf-16"))
+        argv = {
+            "simulate": ["simulate", str(path), "--seed", "1", "--out", str(tmp_path / "o.csv")],
+            "limits": ["limits", "--spectrum", str(path), "--ratio", "0.5"],
+            "target": ["limits", "--spectrum", "identity", "--ratio", "0.5", "--target", str(path)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix.format(path=str(path))}")
+        assert err.endswith(": 'utf-8' codec can't decode byte 0xff in position 0: "
+                            "invalid start byte\n")
 
     def test_cells_parse_as_python_float(self, tmp_path):
         spellings = ["1_000", "١", " 1 ", "nan", "-Infinity", "1e400"]
@@ -1520,11 +1553,10 @@ class TestEstimateFuzz:
 
 
 # Values that no config field accepts, or that it accepts only where they are refused
-# before any work (a 400-digit p lies beyond the float range). A 400-digit replication
-# count would be accepted and run without end, so ``replications`` never draws one.
-_BAD_VALUES = [None, True, "", "x", [], {}, math.nan, math.inf, -math.inf, -int(HUGE_INT),
-               -1, 0, 2.5]
-_BAD = st.sampled_from([*_BAD_VALUES, int(HUGE_INT)])
+# before any work (a 400-digit p lies beyond the float range, and a 400-digit replication
+# count beyond the longest list).
+_BAD = st.sampled_from([None, True, "", "x", [], {}, math.nan, math.inf, -math.inf,
+                        -int(HUGE_INT), -1, 0, 2.5, int(HUGE_INT)])
 
 
 def _field(*good, bad=_BAD):
@@ -1541,7 +1573,7 @@ _CONFIG_FIELDS = {
                        st.lists(_ATOM, max_size=2)),
     "ratio": _field(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0, 5e-324])),
     "p_grid": _field(st.lists(st.one_of(_P, _BAD), max_size=3)),
-    "replications": _field(st.integers(1, 3), bad=st.sampled_from(_BAD_VALUES)),
+    "replications": _field(st.integers(1, 3)),
     "seed": _field(st.integers(0, 9)),
     "estimators": _field(st.lists(st.sampled_from([*simulation._ESTIMATORS, "bogus", ""]),
                                   max_size=4)),
@@ -1576,10 +1608,14 @@ class TestSimulateFuzz:
     """Whole config files and simulate argv: every run exits 0, 2 or 3."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
+    @example(payload=yaml.safe_load(config_text()), p_grid=None, reps=HUGE_INT, seed=None,
+             out=None, threads=2)
+    @example(payload={**yaml.safe_load(config_text()), "replications": int(HUGE_INT)},
+             p_grid="5", reps=None, seed="7", out="out.csv", threads=1)
     @given(payload=CONFIG_PAYLOADS,
            p_grid=_option(["5", "1,40", "2,12"], ["", " ", "12,12", "0", "-3", HUGE_INT, "x",
                                                   "2.5"]),
-           reps=_option(["1", "3"], ["0", "-1", "x"]),
+           reps=_option(["1", "3"], ["0", "-1", HUGE_INT, "x"]),
            seed=_option(["0", "7", HUGE_INT], ["-1", "x"]),
            out=_option(["out.csv"], ["", "missing/out.csv", "."]),
            threads=st.integers(1, 4))

@@ -14,17 +14,21 @@ from precshrink import (
     NearSingularRegimeError,
     NumericError,
     RegimeError,
+    ShrinkageWeights,
     SingularMatrixError,
     TargetMatrix,
     bona_fide_olse,
     build_covariance,
+    compute_limit_functionals,
     estimate_isotropic_precision,
     frobenius_loss,
+    limit_weights,
     olse_covariance,
     oracle_equivariant,
     oracle_olse_gt1,
     oracle_olse_lt1,
     precision_frobenius_estimate,
+    run_grid_point,
     sample_covariance,
     trace_precision_estimate,
 )
@@ -456,6 +460,74 @@ class TestBonaFideOlse:
         assert np.linalg.norm(rotated - q @ base @ q.T) <= 1e-9 * np.linalg.norm(base)
 
 
+def assert_permutation_equivariant(estimate, y, t, observations, variables):
+    """``estimate(stats, t)``, a precision estimate from the sample statistics
+    of ``y`` and a target diagonal ``t``, is unchanged by permuting the
+    observations and becomes ``P est P'`` when the variables and ``t`` are
+    permuted; to 1e-9 relative in the Frobenius norm, since the permuted
+    ``S`` differs from ``S`` only by summation order."""
+    base = estimate(sample_covariance(y), t)
+    shuffled = estimate(sample_covariance(y[:, observations]), t)
+    relabeled = estimate(sample_covariance(y[variables]), t[variables])
+    scale = np.linalg.norm(base)
+    assert np.linalg.norm(shuffled - base) <= 1e-9 * scale
+    assert np.linalg.norm(relabeled - base[np.ix_(variables, variables)]) <= 1e-9 * scale
+
+
+# Concentration ratios on both sides of p = n, outside the near-singular band.
+PERMUTATION_RATIOS = st.sampled_from([0.3, 0.6, 0.9, 1.5, 2.5])
+
+
+def sample_size(p: int, ratio: float) -> int:
+    """n near p / ratio, on the side of p = n that ``ratio`` is on."""
+    n = max(2, round(p / ratio))
+    return max(n, p + 1) if ratio < 1.0 else min(n, p - 1)
+
+
+class TestPermutationEquivariance:
+    """The dense estimators other than the bona fide one (see
+    :class:`TestBonaFideOlse`) under permutations of observations and variables."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(p=st.integers(3, 12), ratio=PERMUTATION_RATIOS, seed=st.integers(0, 2**32 - 1))
+    def test_olse_covariance(self, p, ratio, seed):
+        """Any permutation of the variables, with the covariance target; both regimes."""
+        n = sample_size(p, ratio)
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(0.5, 3.0, size=(p, 1)) * rng.standard_normal((p, n))
+        t = rng.uniform(0.2, 5.0, size=p)
+
+        def estimate(stats, t):
+            return olse_covariance(stats, TargetMatrix.from_diagonal(t)).inverse
+
+        assert_permutation_equivariant(estimate, y, t, rng.permutation(n), rng.permutation(p))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(p=st.integers(3, 12), ratio=PERMUTATION_RATIOS, seed=st.integers(0, 2**32 - 1))
+    def test_oracles(self, p, ratio, seed):
+        """The oracle OLSE on either side of p = n, and the equivariant oracle
+        at p < n only, since at p >= n it depends on the null-space basis that
+        LAPACK returns. The variables move only inside blocks of equal
+        population eigenvalues, so the truth stays sorted and unchanged."""
+        n = sample_size(p, ratio)
+        rng = np.random.default_rng(seed)
+        truth = build_covariance(THREE_BLOCK, p)
+        y = observe(truth, rng.standard_normal((p, n)))
+        t = rng.uniform(0.2, 5.0, size=p)
+        variables = np.arange(p)
+        for value in np.unique(truth.eigenvalues):
+            block = np.flatnonzero(truth.eigenvalues == value)
+            variables[block] = rng.permutation(block)
+        assert np.array_equal(truth.eigenvalues[variables], truth.eigenvalues)
+        oracle = oracle_olse_lt1 if p < n else oracle_olse_gt1
+        estimates = [lambda stats, t: oracle(stats, truth, TargetMatrix.from_diagonal(t)).matrix]
+        if p < n:
+            estimates.append(lambda stats, t: oracle_equivariant(stats, truth).matrix)
+        observations = rng.permutation(n)
+        for estimate in estimates:
+            assert_permutation_equivariant(estimate, y, t, observations, variables)
+
+
 class TestIsotropicPrecisionEstimate:
     def test_exact_small_case(self):
         y = np.zeros((4, 2))
@@ -615,6 +687,37 @@ class TestWeightHelper:
         # A Python float's square raises OverflowError; the determinant itself is finite.
         with pytest.raises(NumericError, match=r"squared trace 1.000e\+155 of the weights"):
             plug_in_weights(1e307, 1.0, 0.0, 1e155, 10, 0.5)
+
+    def test_every_source_returns_the_pair_type(self):
+        """Both weight rules, the dense estimators, the limits and the Monte
+        Carlo give one ``ShrinkageWeights``, which unpacks as ``(alpha, beta)``."""
+        rng = np.random.default_rng(25)
+        truth, stats = random_instance(rng, 6, 30)
+        _, wide = random_instance(rng, 6, 4)
+        target = TargetMatrix.identity_over_p(6)
+        config = ExperimentConfig(
+            name="pairs", spectrum=THREE_BLOCK, targets=(TargetSpec.identity_over_p(),),
+            ratio=0.5, p_grid=(6,), distribution=DistributionSpec("gaussian"), replications=1,
+            seed=3, estimators=(OLSE_PRECISION, OLSE_PRECISION_ORACLE, OLSE_COV_INV))
+        replication = run_grid_point(config, 6)[1][0]
+        sources = {
+            "optimal_weights_from_functionals": optimal_weights_from_functionals(
+                1.0, 2.0, 0.5, 3.0, 4.0),
+            "plug_in_weights": plug_in_weights(3.0, 4.0, 0.5, 1.0, 10, 0.5),
+            "oracle_olse_lt1": oracle_olse_lt1(stats, truth, target).weights,
+            "oracle_olse_gt1": oracle_olse_gt1(wide, truth, target).weights,
+            "bona_fide_olse": bona_fide_olse(stats, target).weights,
+            "olse_covariance": olse_covariance(stats, target).weights,
+            "limit_weights": limit_weights(truth, target, 0.5),
+            "compute_limit_functionals": compute_limit_functionals(
+                truth, 1.5, target=target).weights,
+            **{f"run_grid_point {row}": pair for row, pair in replication.weights.items()},
+        }
+        assert len(sources) == 11
+        for name, weights in sources.items():
+            assert type(weights) is ShrinkageWeights, name
+            alpha, beta = weights
+            assert (alpha, beta) == (weights.alpha, weights.beta), name
 
 
 # Each dense function and the estimator ids whose domain it enforces, in order.

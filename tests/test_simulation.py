@@ -2,6 +2,7 @@
 
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -204,6 +205,26 @@ class TestRunExperiment:
         run_grid_point(config, 15, threads=64)
         run_grid_point(small_config(replications=1), 15, threads=64)
         assert requested == [4, 3, 1, 2, 1]
+
+    def test_one_batch_outstanding(self, monkeypatch):
+        """Replications go to the pool a batch at a time: when one is submitted,
+        fewer than a batch of those before it are unfinished."""
+        futures, peak = [], []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                peak.append(sum(not future.done() for future in futures))
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(simulation, "usable_cpus", lambda: 2)
+        batch = 2 * simulation._BATCH_PER_WORKER
+        config = small_config(replications=2 * batch + 3, estimators=("sample_inv",))
+        _, results = run_grid_point(config, 15, threads=2)
+        assert [res.index for res in results] == list(range(config.replications))
+        assert len(peak) == config.replications
+        assert max(peak) < batch
 
     def test_usable_cpus_follows_affinity(self):
         expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -453,6 +474,11 @@ class TestConfigValidation:
     def test_replication_floor(self):
         with pytest.raises(ValueError, match="replication"):
             small_config(replications=0)
+
+    def test_replication_ceiling(self):
+        assert small_config(replications=sys.maxsize).replications == sys.maxsize
+        with pytest.raises(ValueError, match="replications must be at most"):
+            small_config(replications=sys.maxsize + 1)
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
