@@ -55,9 +55,6 @@ TARGET_COV_SPECTRUM = "cov_spectrum"
 TARGET_PRECISION_SPECTRUM = "precision_spectrum"
 _SPECTRUM_KINDS = (TARGET_COV_SPECTRUM, TARGET_PRECISION_SPECTRUM)
 
-# Replications submitted per worker thread at a time in ``run_grid_point``.
-_BATCH_PER_WORKER = 64
-
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -165,8 +162,7 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.replications > sys.maxsize:
-            raise ValueError(f"replications must be at most {sys.maxsize}, "
-                             "the longest list Python can hold")
+            raise ValueError(f"replications must be at most {sys.maxsize}")
         if not self.p_grid:
             raise ValueError("p_grid must not be empty")
         for p in self.p_grid:
@@ -395,11 +391,9 @@ def run_grid_point(
     """Run all replications for one dimension p and aggregate them.
 
     Replications run on ``min(threads, usable_cpus(), replications)`` worker
-    threads, submitted in batches of ``_BATCH_PER_WORKER`` per worker, so
-    pending work stays bounded and memory follows the finished replications.
-    The call first sets BLAS to one thread for the rest of the process (see
-    :func:`~precshrink.linalg.use_single_threaded_blas`), so the results do
-    not depend on the BLAS thread setting or the core count.
+    threads. The call first sets BLAS to one thread for the rest of the
+    process (see :func:`~precshrink.linalg.use_single_threaded_blas`), so the
+    results do not depend on the BLAS thread setting or the core count.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -427,12 +421,8 @@ def run_grid_point(
                 weights[planned.row_id] = pair
         return ReplicationResult(index=r, losses=losses, weights=weights)
 
-    workers = min(threads, usable_cpus(), config.replications)
-    batch, indices = _BATCH_PER_WORKER * workers, range(config.replications)
-    results: list[ReplicationResult] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in indices[::batch]:
-            results += pool.map(one_replication, indices[start:start + batch])
+    with ThreadPoolExecutor(max_workers=min(threads, usable_cpus(), config.replications)) as pool:
+        results = list(pool.map(one_replication, range(config.replications)))
 
     # Ordered reductions over replications, so the thread count never matters.
     def mean(values) -> float:

@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 import warnings
 
 import numpy as np
@@ -384,12 +383,9 @@ estimators: [olse_cov_inv]
             raise AssertionError("a grid point ran")
 
         monkeypatch.setattr(simulation, "run_grid_point", refuse)
-        start = time.perf_counter()
         assert main(["simulate", "fig1", "--reps", HUGE_INT, "--p-grid", "5",
                      "--out", str(tmp_path / "reps.csv")]) == 2
-        assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err == (f"error: replications must be at most {sys.maxsize}, "
-                                           "the longest list Python can hold\n")
+        assert capsys.readouterr().err == f"error: replications must be at most {sys.maxsize}\n"
         assert not (tmp_path / "reps.csv").exists()
 
     def test_nan_ratio_config_exit_2(self, tmp_path, capsys):
@@ -1554,7 +1550,7 @@ class TestEstimateFuzz:
 
 # Values that no config field accepts, or that it accepts only where they are refused
 # before any work (a 400-digit p lies beyond the float range, and a 400-digit replication
-# count beyond the longest list).
+# count above ``sys.maxsize``).
 _BAD = st.sampled_from([None, True, "", "x", [], {}, math.nan, math.inf, -math.inf,
                         -int(HUGE_INT), -1, 0, 2.5, int(HUGE_INT)])
 

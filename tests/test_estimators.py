@@ -325,6 +325,20 @@ class TestConsistentFunctionals:
         assert abs(np.mean(values) - 1.0) < 0.05
 
 
+def assert_permutation_equivariant(estimate, y, t, observations, variables):
+    """``estimate(stats, t)``, a precision estimate from the sample statistics
+    of ``y`` and a target diagonal ``t``, is unchanged by permuting the
+    observations and becomes ``P est P'`` when the variables and ``t`` are
+    permuted; to 1e-9 relative in the Frobenius norm, since the permuted
+    ``S`` differs from ``S`` only by summation order."""
+    base = estimate(sample_covariance(y), t)
+    shuffled = estimate(sample_covariance(y[:, observations]), t)
+    relabeled = estimate(sample_covariance(y[variables]), t[variables])
+    scale = np.linalg.norm(base)
+    assert np.linalg.norm(shuffled - base) <= 1e-9 * scale
+    assert np.linalg.norm(relabeled - base[np.ix_(variables, variables)]) <= 1e-9 * scale
+
+
 class TestBonaFideOlse:
     def test_hand_values(self):
         stats = diag_sample([1.0, 1.0 / 3.0], 100)  # inverse diag(1, 3)
@@ -423,25 +437,14 @@ class TestBonaFideOlse:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(p=st.integers(2, 12), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
     def test_permutation_equivariance(self, p, extra, seed):
-        """Permuting the observations leaves the estimate unchanged; permuting
-        the variables, and the diagonal target with them, gives ``P est P'``.
-
-        The permuted ``S`` differs from ``S`` only by summation order, so the
-        estimates agree to 1e-9 relative in the Frobenius norm.
-        """
+        """See :func:`assert_permutation_equivariant`."""
         n = math.ceil(p / 0.9) + extra  # p/n stays below the near-singular band
         rng = np.random.default_rng(seed)
         y = rng.uniform(0.5, 3.0, size=(p, 1)) * rng.standard_normal((p, n))
         t = rng.uniform(0.2, 5.0, size=p)
-        base = bona_fide_olse(sample_covariance(y), TargetMatrix.from_diagonal(t)).matrix
-        observations, variables = rng.permutation(n), rng.permutation(p)
-        shuffled = bona_fide_olse(sample_covariance(y[:, observations]),
-                                  TargetMatrix.from_diagonal(t)).matrix
-        relabeled = bona_fide_olse(sample_covariance(y[variables]),
-                                   TargetMatrix.from_diagonal(t[variables])).matrix
-        scale = np.linalg.norm(base)
-        assert np.linalg.norm(shuffled - base) <= 1e-9 * scale
-        assert np.linalg.norm(relabeled - base[np.ix_(variables, variables)]) <= 1e-9 * scale
+        assert_permutation_equivariant(
+            lambda stats, t: bona_fide_olse(stats, TargetMatrix.from_diagonal(t)).matrix,
+            y, t, rng.permutation(n), rng.permutation(p))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(p=st.integers(2, 12), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
@@ -460,72 +463,41 @@ class TestBonaFideOlse:
         assert np.linalg.norm(rotated - q @ base @ q.T) <= 1e-9 * np.linalg.norm(base)
 
 
-def assert_permutation_equivariant(estimate, y, t, observations, variables):
-    """``estimate(stats, t)``, a precision estimate from the sample statistics
-    of ``y`` and a target diagonal ``t``, is unchanged by permuting the
-    observations and becomes ``P est P'`` when the variables and ``t`` are
-    permuted; to 1e-9 relative in the Frobenius norm, since the permuted
-    ``S`` differs from ``S`` only by summation order."""
-    base = estimate(sample_covariance(y), t)
-    shuffled = estimate(sample_covariance(y[:, observations]), t)
-    relabeled = estimate(sample_covariance(y[variables]), t[variables])
-    scale = np.linalg.norm(base)
-    assert np.linalg.norm(shuffled - base) <= 1e-9 * scale
-    assert np.linalg.norm(relabeled - base[np.ix_(variables, variables)]) <= 1e-9 * scale
-
-
-# Concentration ratios on both sides of p = n, outside the near-singular band.
-PERMUTATION_RATIOS = st.sampled_from([0.3, 0.6, 0.9, 1.5, 2.5])
-
-
-def sample_size(p: int, ratio: float) -> int:
-    """n near p / ratio, on the side of p = n that ``ratio`` is on."""
-    n = max(2, round(p / ratio))
-    return max(n, p + 1) if ratio < 1.0 else min(n, p - 1)
-
-
 class TestPermutationEquivariance:
     """The dense estimators other than the bona fide one (see
     :class:`TestBonaFideOlse`) under permutations of observations and variables."""
 
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(p=st.integers(3, 12), ratio=PERMUTATION_RATIOS, seed=st.integers(0, 2**32 - 1))
-    def test_olse_covariance(self, p, ratio, seed):
-        """Any permutation of the variables, with the covariance target; both regimes."""
-        n = sample_size(p, ratio)
-        rng = np.random.default_rng(seed)
-        y = rng.uniform(0.5, 3.0, size=(p, 1)) * rng.standard_normal((p, n))
-        t = rng.uniform(0.2, 5.0, size=p)
-
-        def estimate(stats, t):
-            return olse_covariance(stats, TargetMatrix.from_diagonal(t)).inverse
-
-        assert_permutation_equivariant(estimate, y, t, rng.permutation(n), rng.permutation(p))
-
-    @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(p=st.integers(3, 12), ratio=PERMUTATION_RATIOS, seed=st.integers(0, 2**32 - 1))
-    def test_oracles(self, p, ratio, seed):
-        """The oracle OLSE on either side of p = n, and the equivariant oracle
-        at p < n only, since at p >= n it depends on the null-space basis that
-        LAPACK returns. The variables move only inside blocks of equal
-        population eigenvalues, so the truth stays sorted and unchanged."""
-        n = sample_size(p, ratio)
+    @given(p=st.integers(3, 12), ratio=st.sampled_from([0.3, 0.6, 0.9, 1.5, 2.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_permutation_equivariance(self, p, ratio, seed):
+        """On both sides of p = n, outside the near-singular band:
+        ``olse_covariance`` under any permutation of the variables, with its
+        target; the oracle OLSE, and the equivariant oracle at p < n only (at
+        p >= n it depends on the null-space basis that LAPACK returns), under
+        permutations inside blocks of equal population eigenvalues, so the
+        truth stays sorted and unchanged."""
+        n = max(2, round(p / ratio))
+        n = max(n, p + 1) if ratio < 1.0 else min(n, p - 1)
         rng = np.random.default_rng(seed)
         truth = build_covariance(THREE_BLOCK, p)
         y = observe(truth, rng.standard_normal((p, n)))
         t = rng.uniform(0.2, 5.0, size=p)
-        variables = np.arange(p)
+        observations = rng.permutation(n)
+        assert_permutation_equivariant(
+            lambda stats, t: olse_covariance(stats, TargetMatrix.from_diagonal(t)).inverse,
+            y, t, observations, rng.permutation(p))
+        within_blocks = np.arange(p)
         for value in np.unique(truth.eigenvalues):
             block = np.flatnonzero(truth.eigenvalues == value)
-            variables[block] = rng.permutation(block)
-        assert np.array_equal(truth.eigenvalues[variables], truth.eigenvalues)
+            within_blocks[block] = rng.permutation(block)
+        assert np.array_equal(truth.eigenvalues[within_blocks], truth.eigenvalues)
         oracle = oracle_olse_lt1 if p < n else oracle_olse_gt1
         estimates = [lambda stats, t: oracle(stats, truth, TargetMatrix.from_diagonal(t)).matrix]
         if p < n:
             estimates.append(lambda stats, t: oracle_equivariant(stats, truth).matrix)
-        observations = rng.permutation(n)
         for estimate in estimates:
-            assert_permutation_equivariant(estimate, y, t, observations, variables)
+            assert_permutation_equivariant(estimate, y, t, observations, within_blocks)
 
 
 class TestIsotropicPrecisionEstimate:

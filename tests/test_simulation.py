@@ -2,7 +2,6 @@
 
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -205,26 +204,6 @@ class TestRunExperiment:
         run_grid_point(config, 15, threads=64)
         run_grid_point(small_config(replications=1), 15, threads=64)
         assert requested == [4, 3, 1, 2, 1]
-
-    def test_one_batch_outstanding(self, monkeypatch):
-        """Replications go to the pool a batch at a time: when one is submitted,
-        fewer than a batch of those before it are unfinished."""
-        futures, peak = [], []
-
-        class CountingExecutor(ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                peak.append(sum(not future.done() for future in futures))
-                futures.append(super().submit(*args, **kwargs))
-                return futures[-1]
-
-        monkeypatch.setattr(simulation, "ThreadPoolExecutor", CountingExecutor)
-        monkeypatch.setattr(simulation, "usable_cpus", lambda: 2)
-        batch = 2 * simulation._BATCH_PER_WORKER
-        config = small_config(replications=2 * batch + 3, estimators=("sample_inv",))
-        _, results = run_grid_point(config, 15, threads=2)
-        assert [res.index for res in results] == list(range(config.replications))
-        assert len(peak) == config.replications
-        assert max(peak) < batch
 
     def test_usable_cpus_follows_affinity(self):
         expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
