@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericError
 from .estimators import ShrinkageWeights, TargetMatrix, optimal_weights_from_functionals
-from .linalg import trace_product
+from .linalg import require_shape, trace_product
 from .spectral import CovarianceModel, SpectrumSpec, spectral_moments
 
 ROOT_TOL = 1e-14
@@ -193,8 +193,6 @@ def _weighted_dual_info(truth: CovarianceModel, target: TargetMatrix, ratio: flo
     trace limits when T is proportional to Sigma; the exact equivalent of
     tr(T @ pinv(S)) for general pairs is :func:`pinv_weighted_trace_limit`.
     """
-    if target.shape != (truth.p, truth.p):
-        raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.shape}")
     if target.diagonal is not None:
         d = np.sort(target.diagonal / truth.eigenvalues)
     else:
@@ -214,8 +212,7 @@ def pinv_weighted_trace_limit(truth: CovarianceModel, theta: np.ndarray, ratio: 
     """
     _require_gt1(ratio, "pinv_weighted_trace_limit")
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (truth.p, truth.p):
-        raise ValueError(f"theta must be {truth.p}x{truth.p}, got {theta.shape}")
+    require_shape(theta, (truth.p, truth.p), "theta")
     return float(np.sum(_equivalent(truth, ratio)[0] * np.diagonal(theta)))
 
 
@@ -226,8 +223,8 @@ def pinv_bilinear_limit(
     _require_gt1(ratio, "pinv_bilinear_limit")
     xi = np.asarray(xi, dtype=float).reshape(-1)
     eta = np.asarray(eta, dtype=float).reshape(-1)
-    if xi.size != truth.p or eta.size != truth.p:
-        raise ValueError("xi and eta must be length-p vectors")
+    require_shape(xi, (truth.p,), "xi")
+    require_shape(eta, (truth.p,), "eta")
     return float((eta * _equivalent(truth, ratio)[0]) @ xi)
 
 
@@ -240,8 +237,6 @@ def _limit_weights(
     Sigma is diagonal, so each trace reads only the target's diagonal. At
     ``T = inv(Sigma)`` the paired traces are equal floats: weights exactly (0, 1).
     """
-    if target.shape != (truth.p, truth.p):
-        raise ValueError(f"target must be {truth.p}x{truth.p}, got {target.shape}")
     precision = truth.inverse_eigenvalues
     theta = target.diagonal if target.diagonal is not None else np.diagonal(target.matrix)
     with np.errstate(over="ignore"):
@@ -263,6 +258,7 @@ def limit_weights(truth: CovarianceModel, target: TargetMatrix, ratio: float) ->
     exactly (0, 1) when the target equals the true precision.
     """
     _require_ratio(ratio)
+    require_shape(target, (truth.p, truth.p), "target")
     return _limit_weights(truth, target, *_equivalent(truth, ratio)[:2])
 
 
@@ -283,6 +279,7 @@ def compute_limit_functionals(
     inverse_frobenius = inverse_frobenius_limit(spec, ratio) if below and spec is not None else None
     dual = x_prime = target_dual = weights = None
     if target is not None:  # the diagonal equivalent enters only the weights
+        require_shape(target, (truth.p, truth.p), "target")
         equivalent, inv_frobenius_eq, dual, x_prime = _equivalent(truth, ratio)
         if not below:
             target_dual = _weighted_dual_info(truth, target, ratio)

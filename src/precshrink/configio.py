@@ -104,10 +104,9 @@ def parse_target(obj, *, bare: str) -> TargetSpec:
     if obj in (TARGET_IDENTITY, TARGET_TRUE_PRECISION):
         return TargetSpec(obj, obj)
     if isinstance(obj, dict):
-        missing = {"name", "cov_spectrum"} - set(obj)
-        if missing:
-            raise ConfigError(f"target mapping is missing keys: {sorted(missing)}")
-        _reject_unknown(obj, {"name", "cov_spectrum"}, "target")
+        if set(obj) != {"name", "cov_spectrum"}:
+            raise ConfigError(
+                f"target mapping: expected keys 'name' and 'cov_spectrum', got {obj!r}")
         name = obj["name"]
         if (not isinstance(name, str) or not name or name.startswith("inverse-of:")
                 or name in (TARGET_IDENTITY, TARGET_TRUE_PRECISION, *BUILTIN_SPECTRA)):

@@ -27,6 +27,7 @@ from .linalg import (
     SampleStats,
     frobenius_sq,
     is_symmetric,
+    require_shape,
     symmetric_inverse,
     symmetrize,
     trace_product,
@@ -162,11 +163,6 @@ class CovarianceEstimate:
     weights: ShrinkageWeights
 
 
-def _check_dims(stats_p: int, other, what: str) -> None:
-    if other.shape != (stats_p, stats_p):
-        raise ValueError(f"{what} has shape {other.shape}, expected ({stats_p}, {stats_p})")
-
-
 def hessian_determinant(inv_frobenius_sq: float, target_frobenius_sq: float, cross_trace: float) -> float:
     """Determinant of the quadratic-loss Hessian in (alpha, beta).
 
@@ -214,9 +210,8 @@ def optimal_weights_from_functionals(
 def _oracle_olse(
     stats: SampleStats, truth: CovarianceModel, target: TargetMatrix
 ) -> PrecisionEstimate:
-    if truth.p != stats.p:
-        raise ValueError(f"truth has dimension {truth.p}, expected {stats.p}")
-    _check_dims(stats.p, target, "target")
+    require_shape(truth.eigenvalues, (stats.p,), "truth")
+    require_shape(target, (stats.p, stats.p), "target")
     theta = target.matrix
     a = trace_product(stats.inverse, truth.precision)
     b = trace_product(truth.inverse_eigenvalues, np.diagonal(theta))
@@ -259,7 +254,7 @@ def trace_precision_estimate(stats: SampleStats, theta: np.ndarray) -> float:
     """
     _require_domain(stats, OLSE_PRECISION)
     theta = np.asarray(theta, dtype=float)
-    _check_dims(stats.p, theta, "theta")
+    require_shape(theta, (stats.p, stats.p), "theta")
     if not is_symmetric(theta):
         raise ValueError("theta must be symmetric")
     return (1.0 - stats.ratio) * trace_product(stats.inverse, theta)
@@ -295,7 +290,7 @@ def bona_fide_olse(
     :class:`SampleInverse` holds without an eigendecomposition.
     """
     _require_domain(stats, OLSE_PRECISION)
-    _check_dims(stats.p, target, "target")
+    require_shape(target, (stats.p, stats.p), "target")
     theta = target.matrix
     weights = plug_in_weights(stats.inverse_frobenius_sq, target.frobenius_sq,
                               trace_product(stats.inverse, theta), stats.inverse_trace_norm,
@@ -356,7 +351,7 @@ def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceE
     symmetric solve; this is the benchmark route of estimating the precision
     matrix indirectly. Valid in both regimes.
     """
-    _check_dims(stats.p, target_cov, "target_cov")
+    require_shape(target_cov, (stats.p, stats.p), "target_cov")
     s, c = stats.matrix, target_cov.matrix
     weights = plug_in_weights(frobenius_sq(s), target_cov.frobenius_sq, trace_product(s, c),
                               float(np.trace(s)), stats.n, 1.0)
@@ -372,8 +367,7 @@ def oracle_equivariant(stats: SampleStats, truth: CovarianceModel) -> PrecisionE
     loss. Needs the truth, so it is an oracle benchmark. Valid in both
     regimes.
     """
-    if truth.p != stats.p:
-        raise ValueError(f"truth has dimension {truth.p}, expected {stats.p}")
+    require_shape(truth.eigenvalues, (stats.p,), "truth")
     u = stats.eigenvectors
     rotated_diag = np.einsum("ij,ij->j", u, truth.inverse_eigenvalues[:, None] * u)
     matrix = symmetrize((u * rotated_diag) @ u.T)

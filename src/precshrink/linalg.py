@@ -109,6 +109,12 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def require_shape(value, shape: tuple, what: str) -> None:
+    """The one wrong-size check: a ValueError unless ``value.shape == shape``."""
+    if value.shape != shape:
+        raise ValueError(f"{what} has shape {value.shape}, expected {shape}")
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Observed p x n data matrix: rows are variables, columns observations."""

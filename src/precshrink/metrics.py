@@ -7,14 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedPrialError
+from .linalg import require_shape
 
 
 def frobenius_loss(estimate: np.ndarray, truth_inv: np.ndarray) -> float:
     """Squared Frobenius distance between an estimate and the true precision."""
     estimate = np.asarray(estimate, dtype=float)
     truth_inv = np.asarray(truth_inv, dtype=float)
-    if estimate.shape != truth_inv.shape:
-        raise ValueError(f"shape mismatch: {estimate.shape} vs {truth_inv.shape}")
+    require_shape(estimate, truth_inv.shape, "estimate")
     diff = estimate - truth_inv
     return float(np.sum(diff * diff))
 

@@ -168,6 +168,8 @@ class ExperimentConfig:
         for p in self.p_grid:
             if not (abs(p) <= 1e308 and math.isfinite(p / self.ratio)):
                 raise ValueError(f"p={p} with ratio={self.ratio} gives n beyond the float range")
+            if p < 1:
+                raise ValueError(f"p must be at least 1, got {p}")
             if grid_sample_size(p, self.ratio) < 2:
                 raise ValueError(f"p={p} with ratio={self.ratio} gives n < 2")
         unknown = set(self.estimators) - _ESTIMATORS.keys()

@@ -97,7 +97,7 @@ def apportion_counts(weights: np.ndarray, p: int) -> np.ndarray:
 
 
 def realize_eigenvalues(spec: SpectrumSpec, p: int) -> np.ndarray:
-    """Ascending length-p eigenvalue vector realizing the spectrum weights."""
+    """Ascending eigenvalues, p of them, realizing the spectrum weights."""
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
     counts = apportion_counts(spec.weights, p)

@@ -222,7 +222,8 @@ seed: 1
         ({"distribution": "{kind: student_t, df: 10, allow_low: true}"},
          "unknown distribution fields: ['allow_low']"),
         ({"targets": "[{name: mine, cov_spectrum: [{weight: 1.0, eigenvalue: 2.0}], scale: 2}]"},
-         "unknown target fields: ['scale']"),
+         "target mapping: expected keys 'name' and 'cov_spectrum', got {'name': 'mine', "
+         "'cov_spectrum': [{'weight': 1.0, 'eigenvalue': 2.0}], 'scale': 2}"),
         ({"distribution": "{kind: gaussian, df: 3}"}, "invalid distribution {'kind': 'gaussian', "
          "'df': 3}: gaussian distribution takes no degrees of freedom"),
     ])
@@ -369,6 +370,13 @@ estimators: [olse_cov_inv]
         assert "invalid --p-grid" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize("p", ["0", "-5"])
+    def test_non_positive_p_grid_exit_2(self, tmp_path, capsys, p):
+        assert main(["simulate", "fig1", "--reps", "1", "--p-grid", p,
+                     "--out", str(tmp_path / "grid.csv")]) == 2
+        assert capsys.readouterr().err == f"error: p must be at least 1, got {p}\n"
+        assert not (tmp_path / "grid.csv").exists()
+
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_huge_p_grid_exit_2(self, tmp_path, capsys, sign):
         assert main(["simulate", "fig1", "--reps", "1", "--p-grid", sign + HUGE_INT,
@@ -503,9 +511,11 @@ class TestRejectedInput:
                      f"invalid experiment config: p={HUGE_INT} with ratio=0.25 gives n beyond "
                      "the float range", id="huge-p"),
         ("simulate", config_text(p_grid="[]"), "p_grid must not be empty"),
+        ("simulate", config_text(p_grid="[0]"),
+         "invalid experiment config: p must be at least 1, got 0"),
         ("simulate", config_text(targets="[bogus]"), "unknown target 'bogus'"),
         ("simulate", config_text(targets="[{name: mine}]"),
-         "target mapping is missing keys: ['cov_spectrum']"),
+         "target mapping: expected keys 'name' and 'cov_spectrum', got {'name': 'mine'}"),
         ("simulate", config_text(distribution="student_t"),
          "student_t requires degrees_of_freedom"),
         ("simulate", config_text(distribution="{kind: cauchy}"),

@@ -32,6 +32,7 @@ from precshrink import (
     sample_covariance,
     trace_precision_estimate,
 )
+from precshrink.asymptotics import pinv_bilinear_limit, pinv_weighted_trace_limit
 from precshrink.estimators import (
     EV_ORACLE,
     ISOTROPIC_PRECISION,
@@ -706,19 +707,53 @@ DENSE_DOMAINS = [
 ]
 
 
+# One case per size-checked public entry, each raising the one text of
+# ``linalg.require_shape``. ``stats`` has p = 6 and n = 40, ``wide`` p = 6 and
+# n = 4; the limits take a three-block truth at p = 5 and a target at p = 4.
+_ISO5, _ISO6 = CovarianceModel.isotropic(5, 1.0), CovarianceModel.isotropic(6, 1.0)
+_BLOCKS5 = build_covariance(THREE_BLOCK, 5)
+_T4, _T5, _T6 = (TargetMatrix.identity_over_p(p) for p in (4, 5, 6))
+
+
 @pytest.mark.parametrize("function, message", [
-    (lambda stats: bona_fide_olse(stats, TargetMatrix.identity_over_p(5)),
-     r"target has shape \(5, 5\), expected \(6, 6\)"),
-    (lambda stats: oracle_olse_lt1(stats, CovarianceModel.isotropic(5, 1.0),
-                                   TargetMatrix.identity_over_p(6)),
-     "truth has dimension 5, expected 6"),
-    (lambda stats: oracle_equivariant(stats, CovarianceModel.isotropic(5, 1.0)),
-     "truth has dimension 5, expected 6"),
-], ids=["bona_fide_olse", "oracle_olse_lt1", "oracle_equivariant"])
+    pytest.param(lambda stats, wide: bona_fide_olse(stats, _T5),
+                 "target has shape (5, 5), expected (6, 6)", id="bona_fide_olse"),
+    pytest.param(lambda stats, wide: oracle_olse_lt1(stats, _ISO5, _T6),
+                 "truth has shape (5,), expected (6,)", id="oracle_olse_lt1"),
+    pytest.param(lambda stats, wide: oracle_equivariant(stats, _ISO5),
+                 "truth has shape (5,), expected (6,)", id="oracle_equivariant"),
+    pytest.param(lambda stats, wide: oracle_olse_lt1(stats, _ISO6, _T5),
+                 "target has shape (5, 5), expected (6, 6)", id="oracle_olse_lt1-target"),
+    pytest.param(lambda stats, wide: oracle_olse_gt1(wide, _ISO5, _T6),
+                 "truth has shape (5,), expected (6,)", id="oracle_olse_gt1"),
+    pytest.param(lambda stats, wide: oracle_olse_gt1(wide, _ISO6, _T5),
+                 "target has shape (5, 5), expected (6, 6)", id="oracle_olse_gt1-target"),
+    pytest.param(lambda stats, wide: olse_covariance(stats, _T5),
+                 "target_cov has shape (5, 5), expected (6, 6)", id="olse_covariance"),
+    pytest.param(lambda stats, wide: trace_precision_estimate(stats, np.eye(5)),
+                 "theta has shape (5, 5), expected (6, 6)", id="trace_precision_estimate"),
+    pytest.param(lambda stats, wide: frobenius_loss(np.eye(5), np.eye(6)),
+                 "estimate has shape (5, 5), expected (6, 6)", id="frobenius_loss"),
+    pytest.param(lambda stats, wide: limit_weights(_BLOCKS5, _T4, 0.5),
+                 "target has shape (4, 4), expected (5, 5)", id="limit_weights-0.5"),
+    pytest.param(lambda stats, wide: limit_weights(_BLOCKS5, _T4, 1.5),
+                 "target has shape (4, 4), expected (5, 5)", id="limit_weights-1.5"),
+    pytest.param(lambda stats, wide: compute_limit_functionals(_BLOCKS5, 1.5, target=_T4),
+                 "target has shape (4, 4), expected (5, 5)", id="compute_limit_functionals"),
+    pytest.param(lambda stats, wide: pinv_weighted_trace_limit(_BLOCKS5, _T4.matrix, 1.5),
+                 "theta has shape (4, 4), expected (5, 5)", id="pinv_weighted_trace_limit"),
+    pytest.param(lambda stats, wide: pinv_bilinear_limit(_ISO5, np.ones(4), np.ones(5), 2.0),
+                 "xi has shape (4,), expected (5,)", id="pinv_bilinear_limit-xi"),
+    pytest.param(lambda stats, wide: pinv_bilinear_limit(_ISO5, np.ones(5), np.ones(4), 2.0),
+                 "eta has shape (4,), expected (5,)", id="pinv_bilinear_limit-eta"),
+])
 def test_dense_functions_reject_wrong_sizes(function, message):
-    _, stats = random_instance(np.random.default_rng(11), 6, 40)
-    with pytest.raises(ValueError, match=message):
-        function(stats)
+    rng = np.random.default_rng(11)
+    _, stats = random_instance(rng, 6, 40)
+    _, wide = random_instance(rng, 6, 4)
+    with pytest.raises(ValueError) as raised:
+        function(stats, wide)
+    assert str(raised.value) == message
 
 
 class TestDomain:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -12,14 +13,17 @@ _spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.
 pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
-# Prints what perfbench/run.py prints, with setup_s = 0.1 * seed, and logs the
-# call as "<tree> <seed>" to calls.log next to the trees.
+# Prints what perfbench/run.py prints, with setup_s = 0.1 * seed, logs the
+# call as "<tree> <seed>" to calls.log next to the trees, and its bytecode
+# settings as "<tree> <pycache prefix> <dont_write_bytecode>" to bytecode.log.
 STUB = """
 import json, os, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 tree = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(os.path.dirname(tree), "calls.log"), "a") as log:
     log.write(f"{os.path.basename(tree)} {seed}\\n")
+with open(os.path.join(os.path.dirname(tree), "bytecode.log"), "a") as log:
+    log.write(f"{os.path.basename(tree)} {sys.pycache_prefix} {sys.dont_write_bytecode}\\n")
 print("precshrink benchmark: stub")
 print("meta: " + json.dumps({"commit": None, "source_sha256": "stub", "nproc": 2,
                              "blas_threads": {"libstub.so": 2}, "blas_env": {}}))
@@ -83,6 +87,24 @@ def test_pairs_alternate_and_compare(trees, tmp_path, capsys):
     assert pairs.main([parent, change, "--workload", "analysis", "--pairs", "1",
                        "--seconds", "1"]) == 0
     assert len(json.loads((tmp_path / "BENCH_analysis.json").read_text())) == 6
+
+
+def test_each_side_caches_bytecode_apart(trees, tmp_path, monkeypatch):
+    parent, change = trees
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert pairs.main([parent, change, "--workload", "mc_lt1", "--pairs", "2",
+                       "--seconds", "1"]) == 0
+    logged = [line.split(" ") for line in (tmp_path / "bytecode.log").read_text().splitlines()]
+    # Each side's runs share one prefix of their own, and every run writes bytecode.
+    (parent_prefix,), (change_prefix,) = (
+        {prefix for tree, prefix, _ in logged if tree == side} for side in ("parent", "change"))
+    assert parent_prefix != change_prefix
+    assert {dont_write for *_, dont_write in logged} == {"False"}
+    for prefix in (parent_prefix, change_prefix):
+        assert os.path.isabs(prefix)
+        for tree in (parent, change):
+            assert os.path.commonpath([prefix, tree]) != tree
+        assert not os.path.exists(os.path.dirname(prefix))  # removed at exit
 
 
 def test_failed_operation_exits_1(trees, tmp_path):

@@ -9,6 +9,12 @@ Each tree is a checkout with its own ``perfbench/run.py``, which imports that
 tree's ``src/``. Pair ``i`` runs both trees at seed ``FIRST + i``, one
 process at a time; the parent runs first in even pairs and the change first
 in odd ones, so that neither side always meets the machine in the same state.
+Each side's runs write their bytecode to one fresh ``PYTHONPYCACHEPREFIX``
+folder of its own, outside both trees and removed at exit, even where
+``PYTHONDONTWRITEBYTECODE`` is set; so a ``__pycache__`` left in one tree
+favours neither side, and no file in either tree is touched.
+``perfbench/run.py`` imports the package before it times anything, so the
+spawns it times find that side's cache warm.
 
 The workloads and the end-to-end metrics come from ``BENCHMARK.json``, read
 from the checkout this script sits in. For each metric it prints both
@@ -38,9 +44,11 @@ import datetime
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -59,14 +67,17 @@ def benchmark() -> dict:
         return json.load(handle)
 
 
-def run_once(tree: str, args, seed: int, names) -> dict:
-    """Run ``tree``'s perfbench/run.py once and parse what it prints; every
-    metric in ``names`` must be among the printed ones."""
+def run_once(tree: str, args, seed: int, names, cache: str) -> dict:
+    """Run ``tree``'s perfbench/run.py once, with its bytecode cached under
+    ``cache``, and parse what it prints; every metric in ``names`` must be
+    among the printed ones."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
                "--workload", args.workload, "--seed", str(seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     try:
-        done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
                               timeout=4 * args.seconds + 600)
     except subprocess.TimeoutExpired as exc:
         raise RunError(f"{tree}: seed {seed}: no result after {exc.timeout:.0f} s") from exc
@@ -168,11 +179,12 @@ def main(argv=None) -> int:
     runs = {side: [] for side in SIDES}
     entries = []
     failed = False
+    caches = tempfile.mkdtemp(prefix="pairs-pycache-")
     try:
         for pair in range(args.pairs):
             seed = args.seed + pair
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                run = run_once(trees[side], args, seed, metrics)
+                run = run_once(trees[side], args, seed, metrics, os.path.join(caches, side))
                 runs[side].append(run)
                 entries.append(entry(run, args, stamp, pair, side, seed, list(metrics)))
                 failed |= bool(run["result"].get("failed"))
@@ -183,6 +195,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        shutil.rmtree(caches, ignore_errors=True)
         if args.record and entries:
             print(f"{len(entries)} entries appended to {record(args.workload, entries)}")
 
