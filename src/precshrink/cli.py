@@ -18,7 +18,7 @@ from .asymptotics import RootInfo, compute_limit_functionals
 from .errors import ConfigError, NumericError, RegimeError
 from .estimators import ISOTROPIC_PRECISION, OLSE_PRECISION, SAMPLE_PINV, domain_error
 from .estimators import bona_fide_olse, estimate_isotropic_precision
-from .linalg import DataMatrix, sample_inverse
+from .linalg import DataMatrix, release_blas_threads, sample_inverse
 from .simulation import TARGET_IDENTITY, TARGET_PRECISION_SPECTRUM, ExperimentConfig
 from .simulation import builtin_experiments, run_experiment, with_overrides
 from .spectral import build_covariance
@@ -90,7 +90,7 @@ def cmd_estimate(args) -> int:
     outside = domain_error(mode, data.p, data.n)
     if flag and outside:
         outside = RegimeError(f"{flag} does not apply at p = {data.p}, n = {data.n}: {outside}")
-    elif isinstance(outside, RegimeError):
+    elif isinstance(outside, RegimeError) and data.p >= data.n:
         isotropic = ("--identity-case (isotropic population) or "
                      if domain_error(ISOTROPIC_PRECISION, data.p, data.n) is None else "")
         outside = RegimeError("p >= n: no feasible shrinkage estimator exists for a general "
@@ -114,6 +114,7 @@ def cmd_estimate(args) -> int:
         result = estimate.matrix
         message = (f"target={spec.name} "
                    f"alpha={estimate.weights.alpha:.10g} beta={estimate.weights.beta:.10g}")
+    release_blas_threads()  # the linear algebra is done; writing needs no BLAS workers
     configio.write_matrix(out, result)
     print(f"p={stats.p} n={stats.n} ratio={stats.ratio:.6g} "
           f"regime={'pseudo' if flag else 'invertible'}")

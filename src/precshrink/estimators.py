@@ -46,24 +46,30 @@ ISOTROPIC_PRECISION = "isotropic_precision"
 NEAR_SINGULAR_RATIO = 0.95
 DEGENERACY_RTOL = 1e-12
 
-# Per id: the side of p = n it needs (None: both), the RegimeError text off that side, and
-# whether it excludes the near-singular band NEAR_SINGULAR_RATIO < p/n < 1.
+# Per id: the side of p = n it needs (None: both), the RegimeError text off that side,
+# whether it excludes the near-singular band NEAR_SINGULAR_RATIO < p/n < 1, and whether
+# it shrinks toward a target, which needs p >= 2.
 _DOMAINS = {
-    SAMPLE_INV: (lambda p, n: p < n, "sample inverse undefined for p >= n", False),
-    SAMPLE_PINV: (lambda p, n: p >= n, "pseudo-inverse baseline applies only for p >= n", False),
-    OLSE_PRECISION: (lambda p, n: p < n, "bona fide estimator is undefined for p >= n", True),
-    OLSE_PRECISION_ORACLE: (None, None, True),
-    OLSE_COV_INV: (None, None, False),
-    EV_ORACLE: (None, None, False),
-    ISOTROPIC_PRECISION: (lambda p, n: p > n, "isotropic precision estimate needs p > n", False),
+    SAMPLE_INV: (lambda p, n: p < n, "sample inverse undefined for p >= n", False, False),
+    SAMPLE_PINV: (lambda p, n: p >= n, "pseudo-inverse baseline applies only for p >= n",
+                  False, False),
+    OLSE_PRECISION: (lambda p, n: p < n, "bona fide estimator is undefined for p >= n",
+                     True, True),
+    OLSE_PRECISION_ORACLE: (None, None, True, True),
+    OLSE_COV_INV: (None, None, False, True),
+    EV_ORACLE: (None, None, False, False),
+    ISOTROPIC_PRECISION: (lambda p, n: p > n, "isotropic precision estimate needs p > n",
+                          False, False),
 }
 
 
 def domain_error(estimator_id: str, p: int, n: int) -> Exception | None:
     """Why the estimator does not apply at p variables and n observations, or None."""
-    side, reason, excludes_band = _DOMAINS[estimator_id]
+    side, reason, excludes_band, shrinks = _DOMAINS[estimator_id]
     if side is not None and not side(p, n):
         return RegimeError(reason)
+    if shrinks and p < 2:
+        return RegimeError(f"linear shrinkage needs p >= 2, got p = {p}")
     if excludes_band and NEAR_SINGULAR_RATIO < p / n < 1.0:
         return NearSingularRegimeError(f"p/n = {p / n:.3f} lies in the near-singular band")
     return None
@@ -349,8 +355,9 @@ def olse_covariance(stats: SampleStats, target_cov: TargetMatrix) -> CovarianceE
 
     Shrinks S itself toward ``target_cov`` and inverts the result by a
     symmetric solve; this is the benchmark route of estimating the precision
-    matrix indirectly. Valid in both regimes.
+    matrix indirectly. Valid in both regimes, for p >= 2.
     """
+    _require_domain(stats, OLSE_COV_INV)
     require_shape(target_cov, (stats.p, stats.p), "target_cov")
     s, c = stats.matrix, target_cov.matrix
     weights = plug_in_weights(frobenius_sq(s), target_cov.frobenius_sq, trace_product(s, c),

@@ -3,12 +3,16 @@
 Sample covariance, symmetric eigendecomposition, every inverse the package
 forms (the sample inverse by LU, the Moore-Penrose pseudo-inverse via the
 spectral route, a symmetric inverse by Cholesky), the trace and Frobenius
-helpers used by the estimators, and the switch to single-threaded BLAS that
-replication work runs under.
+helpers used by the estimators, the switch to single-threaded BLAS that
+replication work runs under, and the release of OpenBLAS's idle workers.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,22 +38,41 @@ _OPENBLAS_SET_NUM_THREADS = (
 )
 
 
-def _bundled_openblas() -> list:
-    """The OpenBLAS libraries in the ``numpy.libs`` and ``scipy.libs`` folders
-    of the installed wheels, loaded through ``ctypes``; empty when the wheels
-    bundle another BLAS (MKL, Accelerate) or none."""
-    import ctypes
-    import glob
-    import os
-
-    import scipy
-
-    libraries = []
-    for package in (np, scipy):
+def _openblas_paths(packages) -> list[str]:
+    """Paths of the OpenBLAS libraries in the ``<package>.libs`` folders where
+    the numpy and scipy wheels bundle them; empty when the wheels bundle
+    another BLAS (MKL, Accelerate) or none."""
+    paths = []
+    for package in packages:
         libs_dir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
                                 f"{package.__name__}.libs")
-        for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*"))):
-            libraries.append(ctypes.CDLL(path))
+        if os.path.isdir(libs_dir):
+            paths += sorted(os.path.join(libs_dir, name) for name in os.listdir(libs_dir)
+                            if "openblas" in name)
+    return paths
+
+
+def _bundled_openblas() -> list:
+    """The bundled OpenBLAS libraries of numpy and scipy, loaded through ``ctypes``."""
+    import scipy
+
+    return [ctypes.CDLL(path) for path in _openblas_paths((np, scipy))]
+
+
+def _loaded_openblas() -> list:
+    """The bundled OpenBLAS libraries this process has already loaded: scipy's
+    only once scipy is imported. Each is opened with ``RTLD_NOLOAD``, so this
+    imports and loads nothing; where the platform has no such flag, it
+    returns none."""
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return []
+    libraries = []
+    packages = [package for package in (np, sys.modules.get("scipy")) if package is not None]
+    for path in _openblas_paths(packages):
+        try:
+            libraries.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW))
+        except OSError:  # not loaded in this process
+            pass
     return libraries
 
 
@@ -68,8 +91,6 @@ def use_single_threaded_blas() -> None:
     make OpenBLAS wake and spin its threads again. Does nothing when no
     OpenBLAS build is found.
     """
-    import ctypes
-
     for library in _bundled_openblas():
         for symbol in _OPENBLAS_SET_NUM_THREADS:
             setter = getattr(library, symbol, None)
@@ -78,6 +99,28 @@ def use_single_threaded_blas() -> None:
                 setter.restype = None
                 setter(1)
                 break
+
+
+def release_blas_threads() -> None:
+    """Stop the idle worker threads of every bundled OpenBLAS build already loaded.
+
+    After a multi-threaded call OpenBLAS keeps its workers spinning for about
+    0.1 s in case another call follows, so a command whose linear algebra is
+    done would keep a second core busy while it writes its output. This calls
+    each build's ``blas_thread_shutdown_``; the thread count is kept, and the
+    next multi-threaded call starts the workers again. It imports and loads
+    nothing (see :func:`_loaded_openblas`). It does nothing while any other
+    Python thread is alive, since stopping the workers under another thread's
+    BLAS call is unsafe, and nothing for a build without the symbol.
+    """
+    if threading.active_count() > 1:
+        return
+    for library in _loaded_openblas():
+        shutdown = getattr(library, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown.argtypes = []
+            shutdown.restype = ctypes.c_int
+            shutdown()
 
 
 def frobenius_sq(a: np.ndarray) -> float:

@@ -96,10 +96,15 @@ def apportion_counts(weights: np.ndarray, p: int) -> np.ndarray:
     return base
 
 
+def require_dimension(p: int) -> None:
+    """The one check of a dimension: a ValueError unless ``p >= 1``."""
+    if p < 1:
+        raise ValueError(f"p must be at least 1, got {p}")
+
+
 def realize_eigenvalues(spec: SpectrumSpec, p: int) -> np.ndarray:
     """Ascending eigenvalues, p of them, realizing the spectrum weights."""
-    if p < 1:
-        raise ValueError(f"dimension must be >= 1, got {p}")
+    require_dimension(p)
     counts = apportion_counts(spec.weights, p)
     return np.sort(np.repeat(spec.values, counts))
 

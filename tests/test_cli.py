@@ -370,12 +370,25 @@ estimators: [olse_cov_inv]
         assert "invalid --p-grid" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
-    @pytest.mark.parametrize("p", ["0", "-5"])
-    def test_non_positive_p_grid_exit_2(self, tmp_path, capsys, p):
-        assert main(["simulate", "fig1", "--reps", "1", "--p-grid", p,
-                     "--out", str(tmp_path / "grid.csv")]) == 2
-        assert capsys.readouterr().err == f"error: p must be at least 1, got {p}\n"
+    @pytest.mark.parametrize("command, p", [
+        ("simulate", "0"), ("simulate", "-5"), ("limits", "0"), ("limits", "-3")])
+    def test_non_positive_p_exit_2(self, tmp_path, capsys, command, p):
+        # simulate --p-grid and limits --p refuse a p below 1 with one text.
+        argv = (["simulate", "fig1", "--reps", "1", "--p-grid", p,
+                 "--out", str(tmp_path / "grid.csv")] if command == "simulate" else
+                ["limits", "--spectrum", "threeblock", "--ratio", "0.5", "--p", p])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: p must be at least 1, got {p}\n")
         assert not (tmp_path / "grid.csv").exists()
+
+    def test_one_variable_skips_the_shrinkage_rows(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert main(["simulate", "fig1", "--reps", "1", "--p-grid", "1", "--out", str(out)]) == 0
+        status = {row.estimator_id.split("[")[0]: row.status for row in read_results(str(out))}
+        assert status == {
+            "sample_inv": "ok", "ev_oracle": "ok",
+            **dict.fromkeys(["olse_precision", "olse_precision_oracle", "olse_cov_inv"],
+                            "skipped: linear shrinkage needs p >= 2, got p = 1")}
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_huge_p_grid_exit_2(self, tmp_path, capsys, sign):
@@ -664,6 +677,19 @@ class TestEstimate:
             assert capsys.readouterr() == ("", "error: p >= n: no feasible shrinkage estimator "
                                                f"exists for a general covariance; {advice}\n")
             assert not out.exists()
+
+    def test_one_variable_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Refused from p alone, before any linear algebra.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample statistics formed")
+
+        path = tmp_path / "one.csv"
+        path.write_text("1,2,3,4\n")
+        monkeypatch.setattr("precshrink.cli.sample_inverse", refuse)
+        out = tmp_path / "out.csv"
+        assert main(["estimate", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: linear shrinkage needs p >= 2, got p = 1\n")
+        assert not out.exists()
 
     def test_identity_case_needs_data_rank_n(self, tmp_path, capsys):
         data = write_gaussian_csv(tmp_path / "wide.csv", 40, 5, seed=40)

@@ -758,9 +758,11 @@ def test_dense_functions_reject_wrong_sizes(function, message):
 
 class TestDomain:
     """Where each estimator applies, at the edges of p = n and of the
-    near-singular band (19 x 20 has p/n = 0.95 exactly, outside it)."""
+    near-singular band (19 x 20 has p/n = 0.95 exactly, outside it), and at
+    one variable, where no shrinkage applies."""
 
-    SHAPES = [(9, 10), (10, 10), (11, 10), (29, 30), (30, 30), (31, 30), (19, 20), (24, 25)]
+    SHAPES = [(9, 10), (10, 10), (11, 10), (29, 30), (30, 30), (31, 30), (19, 20), (24, 25),
+              (1, 3)]
 
     def test_band_edges(self):
         assert domain_error(OLSE_PRECISION, 19, 20) is None
@@ -770,6 +772,10 @@ class TestDomain:
         assert domain_error(OLSE_PRECISION_ORACLE, 25, 25) is None
         assert str(domain_error(ISOTROPIC_PRECISION, 25, 25)) == (
             "isotropic precision estimate needs p > n")
+        for estimator_id in (OLSE_PRECISION, OLSE_PRECISION_ORACLE, OLSE_COV_INV):
+            assert str(domain_error(estimator_id, 1, 3)) == (
+                "linear shrinkage needs p >= 2, got p = 1")
+        assert domain_error(EV_ORACLE, 1, 3) is None
 
     @pytest.mark.parametrize("p, n", SHAPES)
     def test_plan_skips_exactly_outside_the_domain(self, p, n):

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precshrink import DataMatrix, NumericError, SingularMatrixError, TargetMatrix
-from precshrink import bona_fide_olse, sample_covariance
+from precshrink import bona_fide_olse, cli, configio, linalg, sample_covariance
 from precshrink.linalg import (
     EPS,
     SampleInverse,
     SampleStats,
     frobenius_sq,
     rank_tolerance,
+    release_blas_threads,
     sample_inverse,
 )
 from precshrink.simulation import usable_cpus
@@ -393,3 +396,100 @@ class TestSingleThreadedBlas:
         assert stages["grid_point"] == [1] * len(stages["start"])
         # The grid point loads scipy.linalg after the pin, and the pin holds.
         assert stages["scipy_linalg_loaded"] == [False, True]
+
+
+RELEASE_PROBE = r"""
+import json, sys, time
+
+import numpy as np
+
+from precshrink import cli
+
+np.savetxt(sys.argv[1], np.random.default_rng(0).standard_normal((400, 1200)), delimiter=",")
+assert cli.main(["estimate", sys.argv[1], "--out", sys.argv[2]]) == 0
+start = time.process_time()
+time.sleep(0.2)
+print(json.dumps({"idle_cpu_s": time.process_time() - start, "scipy": "scipy" in sys.modules}))
+"""
+
+
+class TestReleaseBlasThreads:
+    @pytest.fixture
+    def log(self, monkeypatch):
+        """Record, in order, estimate's computing calls, the shutdown calls of
+        a stub OpenBLAS build and the write of the result. A shutdown entry
+        says whether every sample statistic made so far holds its dense inverse."""
+        log, made = [], []
+
+        def recorded(function):
+            def call(*args, **kwargs):
+                value = function(*args, **kwargs)
+                log.append(function.__name__)
+                return value
+            return call
+
+        def sample_inverse_kept(*args, **kwargs):
+            made.append(recorded(sample_inverse)(*args, **kwargs))
+            return made[-1]
+
+        def shutdown():
+            log.append(("shutdown", all("inverse" in vars(stats) for stats in made)))
+
+        build = types.SimpleNamespace(blas_thread_shutdown_=shutdown)
+        monkeypatch.setattr(linalg, "_loaded_openblas", lambda: [build])
+        monkeypatch.setattr(cli, "sample_inverse", sample_inverse_kept)
+        for name in ("bona_fide_olse", "estimate_isotropic_precision"):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        monkeypatch.setattr(configio, "write_matrix", recorded(configio.write_matrix))
+        return log
+
+    @pytest.mark.parametrize("p, n, flags, calls", [
+        (30, 90, [], ["sample_inverse", "bona_fide_olse"]),
+        (12, 6, ["--pseudo-inverse"], ["sample_inverse"]),
+        (12, 6, ["--identity-case"], ["sample_inverse", "estimate_isotropic_precision"])],
+        ids=["bona-fide", "pseudo-inverse", "identity-case"])
+    def test_estimate_releases_once_before_writing(self, tmp_path, log, p, n, flags, calls):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.random.default_rng(p).standard_normal((p, n)), delimiter=",")
+        assert cli.main(["estimate", str(path), *flags, "--out", str(tmp_path / "out.csv")]) == 0
+        # The pseudo-inverse is formed before the release; the isotropic mode never forms one.
+        formed = flags != ["--identity-case"]
+        assert log == [*calls, ("shutdown", formed), "write_matrix"]
+
+    def test_no_release_while_another_thread_lives(self, tmp_path, log):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.random.default_rng(0).standard_normal((30, 90)), delimiter=",")
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            assert cli.main(["estimate", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+        finally:
+            done.set()
+            other.join()
+        assert log == ["sample_inverse", "bona_fide_olse", "write_matrix"]
+
+    def test_build_without_the_symbol_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_loaded_openblas", lambda: [types.SimpleNamespace()])
+        release_blas_threads()
+
+    def test_no_openblas_is_a_no_op(self, monkeypatch, tmp_path):
+        # A bundled path this process has not loaded is not opened, and no path means no build.
+        monkeypatch.setattr(linalg, "_openblas_paths",
+                            lambda packages: [str(tmp_path / "libscipy_openblas.so")])
+        assert linalg._loaded_openblas() == []
+        monkeypatch.setattr(linalg, "_openblas_paths", lambda packages: [])
+        assert linalg._loaded_openblas() == []
+        release_blas_threads()
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="OpenBLAS runs one thread on one CPU")
+    def test_estimate_leaves_no_worker_spinning(self, tmp_path, child_env):
+        # A fresh process, with BLAS on its default thread count.
+        done = subprocess.run(
+            [sys.executable, "-c", RELEASE_PROBE, str(tmp_path / "data.csv"),
+             str(tmp_path / "precision.csv")],
+            env=child_env(), capture_output=True, text=True, timeout=120, check=True,
+        )
+        probe = json.loads(done.stdout.strip().splitlines()[-1])
+        assert probe["scipy"] is False
+        assert probe["idle_cpu_s"] < 0.02

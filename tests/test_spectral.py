@@ -130,7 +130,7 @@ class TestBuildCovariance:
         )
 
     def test_realize_requires_positive_dimension(self):
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(ValueError, match="^p must be at least 1, got 0$"):
             realize_eigenvalues(THREE_BLOCK, 0)
 
     @pytest.mark.parametrize("eigenvalues, message", [
