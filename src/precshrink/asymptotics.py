@@ -67,7 +67,7 @@ def _solve_self_consistent(d: np.ndarray, ratio: float) -> RootInfo:
     method = "newton"
     for iterations in range(1, ROOT_MAX_ITER + 1):
         inverse = 1.0 / (d + x)
-        h = 1.0 - scale * math.fsum(x * inverse)
+        h = 1.0 - scale * math.fsum((x * inverse).tolist())  # not numpy scalars: 2x faster
         if h > 0.0:
             lo = x
         else:

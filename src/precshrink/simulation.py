@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,18 +191,79 @@ def grid_sample_size(p: int, ratio: float) -> int:
     return int(round(p / ratio))
 
 
-@dataclass(frozen=True)
+class _ResultTable:
+    """One grid point's losses and shrinkage weights, one row per replication.
+
+    ``losses[r, j]`` is replication r's loss on the plan's j-th runnable row and
+    ``weights[r, k]`` its ``(alpha, beta)`` on the k-th targeted one; each
+    replication writes only its own row, so the thread count changes no byte.
+    """
+
+    __slots__ = ("loss_columns", "weight_columns", "losses", "weights")
+
+    def __init__(self, rows: list[str], targeted: list[str], replications: int):
+        self.loss_columns = {row: j for j, row in enumerate(rows)}
+        self.weight_columns = {row: k for k, row in enumerate(targeted)}
+        self.losses = np.zeros((replications, len(rows)))
+        self.weights = np.zeros((replications, len(targeted), 2))
+
+
+class _RowView(Mapping):
+    """Read-only mapping from row ids, in plan order, to one replication's values."""
+
+    __slots__ = ("_columns", "_values", "_read")
+
+    def __init__(self, columns: dict[str, int], values: np.ndarray, read: Callable):
+        self._columns, self._values, self._read = columns, values, read
+
+    def __getitem__(self, key: str):
+        return self._read(self._values[self._columns[key]])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def _read_weights(pair: np.ndarray) -> ShrinkageWeights:
+    return ShrinkageWeights(*pair.tolist())
+
+
 class ReplicationResult:
-    """Losses and shrinkage weights recorded for one replication."""
+    """Losses and shrinkage weights recorded for one replication.
 
-    index: int
-    losses: dict[str, float]
-    weights: dict[str, ShrinkageWeights] = field(default_factory=dict)
+    ``losses`` (Python floats) and ``weights`` (:class:`ShrinkageWeights`) are
+    read-only mappings from row ids over row ``index`` of the grid point's
+    table; the result itself holds no copy of them.
+    """
 
-    def __post_init__(self):
-        for key, value in self.losses.items():
-            if not np.isfinite(value) or value < 0.0:
-                raise NumericError(f"loss for {key!r} must be finite and nonnegative, got {value!r}")
+    __slots__ = ("index", "_table")
+
+    def __init__(self, index: int, table: _ResultTable):
+        self.index, self._table = index, table
+        losses = table.losses[index]
+        valid = np.isfinite(losses) & (losses >= 0.0)
+        if not valid.all():
+            j = int(np.argmin(valid))
+            raise NumericError(f"loss for {list(table.loss_columns)[j]!r} must be finite and "
+                               f"nonnegative, got {float(losses[j])!r}")
+
+    @property
+    def losses(self) -> Mapping[str, float]:
+        return _RowView(self._table.loss_columns, self._table.losses[self.index], float)
+
+    @property
+    def weights(self) -> Mapping[str, ShrinkageWeights]:
+        return _RowView(self._table.weight_columns, self._table.weights[self.index],
+                        _read_weights)
+
+    def __repr__(self) -> str:
+        return (f"ReplicationResult(index={self.index}, losses={self.losses}, "
+                f"weights={self.weights})")
 
 
 def replication_rng(seed: int, p: int, replication: int) -> np.random.Generator:
@@ -371,8 +432,9 @@ def _plan_estimators(
         score, error = _ESTIMATORS[kind], domain_error(kind, p, n)
         reason = None if error is None else str(error)
         if kind in _TARGETED:
-            plan += [_PlannedEstimator(f"{kind}[{spec.name}]", score, reason, *targets)
-                     for spec, *targets in resolved]
+            # Interned: the result tables of every grid point share one copy of each id.
+            plan += [_PlannedEstimator(sys.intern(f"{kind}[{spec.name}]"), score, reason,
+                                       *targets) for spec, *targets in resolved]
         else:
             plan.append(_PlannedEstimator(kind, score, reason))
     return plan
@@ -408,39 +470,46 @@ def run_grid_point(
     targets = list({id(t): t for t in [pi] + [row.precision_target.diagonal for row in runnable
                                               if row.precision_target is not None]}.values())
 
+    # Allocated before any replication runs, so a count too large to hold fails at once.
+    table = _ResultTable([row.row_id for row in runnable],
+                         [row.row_id for row in runnable if row.precision_target is not None],
+                         config.replications)
+
     def one_replication(r: int) -> ReplicationResult:
         rng = replication_rng(config.seed, p, r)
         data = generate_data(truth, n, config.distribution, rng)
         spectra = _Spectra(sample_covariance(data, center=config.center), pi, targets,
                            config.clamp)
-        losses: dict[str, float] = {}
-        weights: dict[str, ShrinkageWeights] = {}
-        for planned in runnable:
-            loss, pair = planned.score(spectra, planned)
-            losses[planned.row_id] = loss
+        losses, weights = table.losses[r], table.weights[r]
+        for j, planned in enumerate(runnable):
+            losses[j], pair = planned.score(spectra, planned)
             if pair is not None:
-                weights[planned.row_id] = pair
-        return ReplicationResult(index=r, losses=losses, weights=weights)
+                weights[table.weight_columns[planned.row_id]] = pair
+        return ReplicationResult(r, table)
 
     with ThreadPoolExecutor(max_workers=min(threads, usable_cpus(), config.replications)) as pool:
         results = list(pool.map(one_replication, range(config.replications)))
 
-    # Ordered reductions over replications, so the thread count never matters.
-    def mean(values) -> float:
-        return float(np.mean(np.array(values)))
+    # Ordered reductions over replications, so the thread count never matters;
+    # np.mean of a contiguous column sums in the order of a list's array.
+    def mean(column: np.ndarray) -> float:
+        return float(np.mean(np.ascontiguousarray(column)))
 
-    baseline_mean = mean([res.losses[baseline_id] for res in results])
+    def mean_loss_of(row_id: str) -> float:
+        return mean(table.losses[:, table.loss_columns[row_id]])
+
+    baseline_mean = mean_loss_of(baseline_id)
     rows = []
     for row in plan:
         mean_loss = prial_percent = mean_alpha = mean_beta = math.nan
         replications, status = 0, f"skipped: {row.skip_reason}"
         if row.skip_reason is None:
-            replications, status = len(results), "ok"
-            mean_loss = mean([res.losses[row.row_id] for res in results])
+            replications, status = config.replications, "ok"
+            mean_loss = mean_loss_of(row.row_id)
             prial_percent = prial(mean_loss, baseline_mean)
             if row.precision_target is not None:
-                mean_alpha = mean([res.weights[row.row_id].alpha for res in results])
-                mean_beta = mean([res.weights[row.row_id].beta for res in results])
+                pairs = table.weights[:, table.weight_columns[row.row_id]]
+                mean_alpha, mean_beta = mean(pairs[:, 0]), mean(pairs[:, 1])
         rows.append(ResultRow(config.name, p, n, config.ratio, config.distribution.label,
                               row.row_id, mean_loss, prial_percent, mean_alpha, mean_beta,
                               replications, config.seed, status))

@@ -409,6 +409,26 @@ estimators: [olse_cov_inv]
         assert capsys.readouterr().err == f"error: replications must be at most {sys.maxsize}\n"
         assert not (tmp_path / "reps.csv").exists()
 
+    def test_unallocatable_reps_exit_3_before_any_work(self, tmp_path, child_env):
+        # The grid point's result table is allocated before its first replication,
+        # so a count that cannot be held fails at once with numpy's message. The
+        # address-space limit keeps a regression from growing without bound.
+        pytest.importorskip("resource")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+                  "from precshrink.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        out = tmp_path / "huge.csv"
+        # One OpenBLAS thread: its per-thread buffers must fit under the limit.
+        done = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "fig1", "--reps", "1000000000000000",
+             "--p-grid", "6", "--out", str(out)],
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("numeric failure: Unable to allocate ")
+        assert "shape (1000000000000000, 8)" in done.stderr
+        assert not out.exists()
+
     def test_nan_ratio_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "nan.yaml"
         config.write_text(

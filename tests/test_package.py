@@ -86,3 +86,22 @@ def test_benchmark_tracing_hooks_resolve(monkeypatch):
     finally:
         tracer.restore()
     assert simulation.run_grid_point is original
+
+
+def test_traced_grid_point_closes_one_span_per_replication(monkeypatch):
+    """A traced replication's span opens at ``replication_rng`` and closes when
+    the replication builds its result through ``simulation.ReplicationResult``."""
+    run = load_by_path(monkeypatch, PERFBENCH / "run.py")
+    tracer = load_by_path(monkeypatch, PERFBENCH / "spans.py").Tracer()
+    hooked = (simulation.replication_rng, simulation.ReplicationResult)
+    config = simulation.with_overrides(simulation.builtin_experiments()["fig5"], replications=3)
+    try:
+        run.install_tracing(tracer)
+        _, results = simulation.run_grid_point(config, 100)
+    finally:
+        tracer.restore()
+    assert (simulation.replication_rng, simulation.ReplicationResult) == hooked
+    spans = [span for span in tracer.spans if span.name == "simulation.replication"]
+    assert [(span.attrs, span.end is not None) for span in spans] == [
+        ({"p": 100, "index": r}, True) for r in range(3)]
+    assert [type(result) for result in results] == [simulation.ReplicationResult] * 3

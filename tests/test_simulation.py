@@ -1,7 +1,10 @@
 """Data generation, replication engine, and builtin experiments."""
 
+import gc
 import os
 import sys
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -29,7 +32,8 @@ from precshrink import (
     run_grid_point,
     sample_covariance,
 )
-from precshrink import metrics, prial, simulation
+from precshrink import ShrinkageWeights, metrics, prial, simulation
+from precshrink.errors import NumericError
 from precshrink.linalg import SampleStats
 from precshrink.simulation import PRIOR_SPECTRA, THREE_BLOCK, with_overrides
 
@@ -274,6 +278,80 @@ class TestRunExperiment:
             ran = [entry.estimator_id for entry in report.summaries if entry.status == "ok"]
             assert len(ran) == (11 if ratio < 1.0 else 8)
             assert all(set(result.losses) == set(ran) for result in results)
+
+
+class TestReplicationResult:
+    """A result reads its row of the grid point's table through two mappings."""
+
+    def test_views_are_read_only_mappings_in_plan_order(self):
+        prior2 = TargetSpec.from_cov_spectrum("prior2", PRIOR_SPECTRA["prior2"])
+        config = small_config(estimators=ALL_IDS, targets=(TargetSpec.identity_over_p(), prior2),
+                              p_grid=(15,), replications=3)
+        report, results = run_grid_point(config, 15, threads=2)
+        rows = [entry.estimator_id for entry in report.summaries if entry.status == "ok"]
+        targeted = [row for row in rows if "[" in row]
+        assert [result.index for result in results] == [0, 1, 2]
+        for result in results:
+            losses, weights = result.losses, result.weights
+            assert isinstance(losses, Mapping) and isinstance(weights, Mapping)
+            assert list(losses) == rows and list(weights) == targeted
+            assert losses == dict(losses.items()) and dict(losses.items()) == losses
+            assert weights == dict(weights.items()) and dict(weights.items()) == weights
+            assert all(type(loss) is float for loss in losses.values())
+            assert all(type(pair) is ShrinkageWeights and type(pair.alpha) is float
+                       and type(pair.beta) is float for pair in weights.values())
+            assert "sample_inv" in losses and "sample_inv" not in weights
+            with pytest.raises(KeyError):
+                losses["sample_pinv"]
+            with pytest.raises(TypeError):
+                losses["sample_inv"] = 0.0
+            with pytest.raises(TypeError):
+                weights["olse_precision[prior2]"] = ShrinkageWeights(0.0, 1.0)
+            assert repr(result) == (f"ReplicationResult(index={result.index}, "
+                                    f"losses={dict(losses)}, weights={dict(weights)})")
+
+    def test_many_workers_write_their_own_rows(self, monkeypatch):
+        # More workers than cores, switching threads as often as the interpreter
+        # allows: a row written by the wrong replication or lost would differ.
+        config = small_config(p_grid=(15,), replications=24)
+        _, serial = run_grid_point(config, 15)
+        monkeypatch.setattr(simulation, "usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, parallel = run_grid_point(config, 15, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(res.index, res.losses, res.weights) for res in parallel] == [
+            (res.index, res.losses, res.weights) for res in serial]
+
+    @pytest.mark.parametrize("loss, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                             (-1e-300, "-1e-300")])
+    def test_invalid_loss_names_its_row(self, monkeypatch, loss, shown):
+        monkeypatch.setitem(simulation._ESTIMATORS, "ev_oracle", lambda spectra, row: (loss, None))
+        with pytest.raises(NumericError) as raised:
+            run_grid_point(small_config(p_grid=(15,)), 15)
+        assert str(raised.value) == ("loss for 'ev_oracle' must be finite and nonnegative, "
+                                     f"got {shown}")
+
+    @pytest.mark.parametrize("name, replications, kilobytes", [("fig1", 4, 0.7), ("fig5", 10, 0.4)])
+    def test_kept_results_memory(self, name, replications, kilobytes):
+        # The results of a grid point share its table. Two dicts of boxed floats
+        # per result would keep 1.73 KB per fig1 and 0.86 KB per fig5 replication.
+        config = with_overrides(builtin_experiments()[name], replications=replications)
+        run_grid_point(config, 15)  # fills the caches of a first call
+        rounds = 50
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [run_grid_point(config, 15)[1] for _ in range(rounds)]
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == rounds
+        assert grown / (rounds * replications) <= kilobytes * 1024
 
 
 ALL_IDS = ("sample_inv", "sample_pinv", "olse_precision", "olse_precision_oracle",
